@@ -12,8 +12,8 @@
 //   fetch_and_op  atomically increment a counter slot at each neighbor and
 //                 fetch the pre-increment value (ticket locks, Section II).
 //
-// Everything flows through the configured matching engine and both
-// scheduler policies as ordinary point-to-point traffic.
+// Everything flows through the configured matching engine and the
+// cluster scheduler as ordinary point-to-point traffic.
 //
 // Build & run:  ./build/examples/neighborhood_exchange
 #include <cstdint>

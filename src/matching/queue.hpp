@@ -11,11 +11,12 @@
 // tag, comm) of each element ("Instead of reading the entire message or
 // receive request, only src and tag are being read", Algorithm 1), so the
 // queue keeps those fields mirrored in contiguous per-field lanes next to
-// the element (payload) store: source[], tag[], comm[], stream[], seq[],
-// and the packed (src << 32 | tag) scan word[] the warp ballot scan
-// consumes.  Sequence numbers are stamped per ordering domain — each
-// stream owns an independent cursor (docs/streams.md) — so in-order
-// release and posted-order tiebreaks hold within a stream only.  A
+// the element (payload) store: source[], tag[], comm[], stream[], and the
+// packed (src << 32 | tag) scan word[] the warp ballot scan consumes.
+// Sequence numbers live only in the element store (no kernel scans them);
+// they are stamped per ordering domain — each stream owns an independent
+// cursor (docs/streams.md) — so in-order release and posted-order
+// tiebreaks hold within a stream only.  A
 // probe over the lanes streams 8-byte words instead of striding over
 // whole Message/RecvRequest structs, which is exactly the coalesced
 // lane-wise layout the SIMT literature prescribes (docs/perf.md).  The
@@ -37,14 +38,14 @@ namespace simtmsg::matching {
 
 /// Const view over a queue's envelope lanes: one contiguous array per
 /// envelope field, index-aligned with the element store (element i's
-/// envelope is {src[i], tag[i], comm[i], stream[i]} with sequence seq[i]
-/// and packed scan word word[i] == scan_word(src[i], tag[i])).
+/// envelope is {src[i], tag[i], comm[i], stream[i]} with packed scan word
+/// word[i] == scan_word(src[i], tag[i])).  Element i's sequence number is
+/// read from the element store, queue[i].seq.
 struct EnvelopeLanes {
   std::span<const Rank> src;
   std::span<const Tag> tag;
   std::span<const CommId> comm;
   std::span<const StreamId> stream;  ///< Ordering domain (docs/streams.md).
-  std::span<const std::uint64_t> seq;
   std::span<const std::uint64_t> word;  ///< What the ballot scan reads.
 };
 
@@ -115,7 +116,7 @@ class MatchQueue {
   /// The envelope lanes (struct-of-arrays mirror of view(), see above).
   [[nodiscard]] EnvelopeLanes lanes() const noexcept {
     return EnvelopeLanes{.src = src_, .tag = tag_, .comm = comm_, .stream = stream_,
-                         .seq = seq_, .word = word_};
+                         .word = word_};
   }
 
   /// The packed (src << 32 | tag) scan-word lane — the exact array the
@@ -146,7 +147,6 @@ class MatchQueue {
           tag_[kept] = tag_[i];
           comm_[kept] = comm_[i];
           stream_[kept] = stream_[i];
-          seq_[kept] = seq_[i];
           word_[kept] = word_[i];
         }
         ++kept;
@@ -157,7 +157,6 @@ class MatchQueue {
     tag_.resize(kept);
     comm_.resize(kept);
     stream_.resize(kept);
-    seq_.resize(kept);
     word_.resize(kept);
     return removed;
   }
@@ -168,7 +167,6 @@ class MatchQueue {
     tag_.clear();
     comm_.clear();
     stream_.clear();
-    seq_.clear();
     word_.clear();
   }
 
@@ -209,7 +207,6 @@ class MatchQueue {
     tag_.push_back(item.env.tag);
     comm_.push_back(item.env.comm);
     stream_.push_back(item.env.stream);
-    seq_.push_back(item.seq);
     word_.push_back(scan_word(item.env.src, item.env.tag));
   }
 
@@ -220,7 +217,6 @@ class MatchQueue {
     tag_.reserve(total);
     comm_.reserve(total);
     stream_.reserve(total);
-    seq_.reserve(total);
     word_.reserve(total);
   }
 
@@ -229,7 +225,6 @@ class MatchQueue {
     tag_.clear();
     comm_.clear();
     stream_.clear();
-    seq_.clear();
     word_.clear();
     reserve_more(0);
     for (const T& item : items_) append_lanes(item);
@@ -240,7 +235,6 @@ class MatchQueue {
   std::vector<Tag> tag_;
   std::vector<CommId> comm_;
   std::vector<StreamId> stream_;
-  std::vector<std::uint64_t> seq_;
   std::vector<std::uint64_t> word_;
   std::uint64_t next_seq_ = 0;  ///< Default-stream cursor (the hot path).
   /// Non-default stream cursors; empty until a stream is first seen, so

@@ -137,10 +137,6 @@ int ShardedMatchEngine::shard_of(CommId comm, Rank src, StreamId stream) const n
   return static_cast<int>(mixed % impl_->shards.size());
 }
 
-int ShardedMatchEngine::shard_of(CommId comm, Rank src) const noexcept {
-  return shard_of(comm, src, kDefaultStream);
-}
-
 std::uint64_t ShardedMatchEngine::serialized_passes() const noexcept {
   return impl_->serialized_passes;
 }

@@ -123,14 +123,10 @@ class ShardedMatchEngine {
 
   /// The static partition map: which shard owns the (comm, src, stream)
   /// traffic class.  Stable for the engine's lifetime (it depends only on
-  /// the shard count).  Stream 0 reproduces the historical two-argument
-  /// map exactly; distinct streams of one (comm, src) pair rotate across
-  /// consecutive shards.
+  /// the shard count).  Stream 0 reproduces the pre-stream map exactly;
+  /// distinct streams of one (comm, src) pair rotate across consecutive
+  /// shards.
   [[nodiscard]] int shard_of(CommId comm, Rank src, StreamId stream) const noexcept;
-
-  /// Pre-stream partition map; forwards to the default ordering domain.
-  [[deprecated("use shard_of(comm, src, stream); this is the stream-0 map")]]
-  [[nodiscard]] int shard_of(CommId comm, Rank src) const noexcept;
 
   /// Telemetry totals merged over every shard in shard-index order.  With
   /// one shard this is exactly the underlying MatchEngine's snapshot.

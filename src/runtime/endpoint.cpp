@@ -9,9 +9,9 @@
 namespace simtmsg::runtime {
 
 int default_max_streams() {
-  // Mirrors default_scheduler_policy(): the environment picks the default
-  // so whole suites can be re-run with a different stream budget without
-  // code changes.  SIMTMSG_STREAMS=1 pins clusters to the default stream.
+  // The environment picks the default so whole suites can be re-run with a
+  // different stream budget without code changes.  SIMTMSG_STREAMS=1 pins
+  // clusters to the default stream.
   if (const char* env = std::getenv("SIMTMSG_STREAMS")) {
     char* end = nullptr;
     const long v = std::strtol(env, &end, 10);
@@ -36,8 +36,7 @@ ClusterConfig validated(ClusterConfig cfg) {
     throw std::invalid_argument("ClusterConfig.shards_per_node must be >= 1 (got " +
                                 std::to_string(cfg.shards_per_node) + ")");
   }
-  if (cfg.scheduler != SchedulerPolicy::kLegacyLockstep &&
-      cfg.scheduler != SchedulerPolicy::kEventDriven) {
+  if (cfg.scheduler != SchedulerPolicy::kEventDriven) {
     throw std::invalid_argument(
         "ClusterConfig.scheduler is not a valid SchedulerPolicy (got " +
         std::to_string(static_cast<int>(cfg.scheduler)) + ")");
@@ -58,7 +57,8 @@ ClusterConfig validated(ClusterConfig cfg) {
 
 Cluster::Cluster(ClusterConfig cfg)
     : cfg_(validated(std::move(cfg))),
-      gas_(cfg_.nodes, cfg_.network, &fabric_telemetry_) {
+      gas_(cfg_.nodes, cfg_.network, &fabric_telemetry_),
+      scheduler_(cfg_.nodes, scheduler_probe()) {
   const auto& device = simt::device(cfg_.device);
   engines_.reserve(static_cast<std::size_t>(cfg_.nodes));
   posted_.resize(static_cast<std::size_t>(cfg_.nodes));
@@ -66,23 +66,22 @@ Cluster::Cluster(ClusterConfig cfg)
     engines_.emplace_back(device, cfg_.semantics, cfg_.policy, cfg_.shards_per_node, n,
                           cfg_.reliability, &fabric_telemetry_);
   }
-  scheduler_ = Scheduler::make(
-      cfg_.scheduler, cfg_.nodes,
-      Scheduler::Probe{
-          .runnable =
-              [this](int n) {
-                return !gas_.incoming(n).empty() &&
-                       !posted_[static_cast<std::size_t>(n)].empty();
-              },
-          .rto_deadline =
-              [this](int n) {
-                return cfg_.reliability.enabled
-                           ? engines_[static_cast<std::size_t>(n)]
-                                 .reliability()
-                                 .next_deadline()
-                           : -1.0;
-              },
-      });
+}
+
+Scheduler::Probe Cluster::scheduler_probe() {
+  return Scheduler::Probe{
+      .runnable =
+          [this](int n) {
+            return !gas_.incoming(n).empty() &&
+                   !posted_[static_cast<std::size_t>(n)].empty();
+          },
+      .rto_deadline =
+          [this](int n) {
+            return cfg_.reliability.enabled
+                       ? engines_[static_cast<std::size_t>(n)].reliability().next_deadline()
+                       : -1.0;
+          },
+  };
 }
 
 void Cluster::inject(Packet&& p) {
@@ -93,7 +92,7 @@ void Cluster::inject(Packet&& p) {
 
 void Cluster::wake(int node) {
   ++wakes_;
-  scheduler_->wake(node);
+  scheduler_.wake(node);
 }
 
 void Cluster::validate_stream(Stream stream) const {
@@ -116,7 +115,7 @@ SendHandle Cluster::send(Stream stream, int from, int to, matching::Tag tag,
     inject(engines_[static_cast<std::size_t>(from)].reliability().make_data(
         to, env, payload, bytes, now_us_));
     // make_data armed (or re-armed) the sender's retransmit timer.
-    scheduler_->rto_touched(from);
+    scheduler_.rto_touched(from);
   } else {
     (void)gas_.remote_enqueue(from, to, env, payload, bytes, now_us_);
   }
@@ -168,9 +167,8 @@ bool Cluster::cancel(RecvHandle h) {
   const int node = it->second.node;
   pending_.erase(it);
   ++cancels_;
-  // The node may have just gone idle; both policies agree because the
-  // lockstep scheduler re-probes every tick and stepped() is its no-op.
-  scheduler_->stepped(node, !gas_.incoming(node).empty() && !queue.empty());
+  // The node may have just gone idle.
+  scheduler_.stepped(node, !gas_.incoming(node).empty() && !queue.empty());
   return true;
 }
 
@@ -186,7 +184,7 @@ std::size_t Cluster::progress() {
   // Advance the clock to the next event: the earliest in-flight arrival or
   // the earliest retransmit deadline.
   double next = gas_.next_arrival();
-  const double rto = scheduler_->next_rto_deadline();
+  const double rto = scheduler_.next_rto_deadline();
   if (rto >= 0.0 && (next < 0.0 || rto < next)) next = rto;
   if (next >= 0.0) now_us_ = std::max(now_us_, next);
 
@@ -205,20 +203,20 @@ std::size_t Cluster::progress() {
       if (!accepted_.empty()) wake(p.to);
       // Data changed the receiver's dedup state; an ack cleared a pending
       // send.  Either way p.to's earliest deadline may differ now.
-      scheduler_->rto_touched(p.to);
+      scheduler_.rto_touched(p.to);
     }
     for (Packet& r : replies_) inject(std::move(r));
 
     // Fire expired retransmit timers (and report exhausted sends),
     // ascending by node id: retransmit injection order stamps wire
     // sequences, which the fault draws are keyed on.
-    scheduler_->collect_due(now_us_, due_);
+    scheduler_.collect_due(now_us_, due_);
     rto_expiries_ += due_.size();
     resend_.clear();
     for (const int n : due_) {
       engines_[static_cast<std::size_t>(n)].reliability().expire(now_us_, resend_,
                                                                  failures_);
-      scheduler_->rto_touched(n);
+      scheduler_.rto_touched(n);
     }
     for (Packet& r : resend_) inject(std::move(r));
   } else {
@@ -243,9 +241,8 @@ std::size_t Cluster::progress() {
   }
 
   // Step every node whose communication kernel has matching work — and
-  // only those (both policies agree on the set; they differ in how much
-  // the *query* cost: scan vs incremental).
-  scheduler_->collect_active(active_);
+  // only those.
+  scheduler_.collect_active(active_);
   nodes_stepped_ += active_.size();
   idle_steps_skipped_ += static_cast<std::uint64_t>(cfg_.nodes) - active_.size();
   active_set_peak_ = std::max(active_set_peak_, active_.size());
@@ -255,7 +252,7 @@ std::size_t Cluster::progress() {
     const StepResult r = engines_[static_cast<std::size_t>(n)].step(
         gas_.incoming(n), posted_[static_cast<std::size_t>(n)], completions_);
     matched += r.matched;
-    scheduler_->stepped(n, r.runnable);
+    scheduler_.stepped(n, r.runnable);
   }
   for (const auto& c : completions_) {
     completed_[c.handle] =
@@ -270,7 +267,7 @@ bool Cluster::quiesced() {
   if (cfg_.reliability.enabled) {
     // A channel is idle exactly when it has no armed deadline, so the
     // scheduler's wheel answers fleet-wide reliability quiescence.
-    if (!scheduler_->rto_idle()) return false;
+    if (!scheduler_.rto_idle()) return false;
     // Nothing in flight, every sender done: messages still held for
     // in-order release are permanently stuck behind a failed sequence.
     for (auto& e : engines_) e.reliability().sweep_stranded(now_us_, failures_);
@@ -296,7 +293,7 @@ void Cluster::barrier() {
       const StepResult r = engines_[static_cast<std::size_t>(n)].step(
           gas_.incoming(n), posted_[static_cast<std::size_t>(n)], sink,
           /*enforce_expected=*/true);
-      scheduler_->stepped(n, r.runnable);
+      scheduler_.stepped(n, r.runnable);
     }
   }
 }
@@ -382,9 +379,7 @@ telemetry::TelemetryReport Cluster::snapshot() const {
   total.counters["runtime.cluster.receives_cancelled"] = cancels_;
   total.counters["runtime.cluster.delivery_failures"] = failures_.size();
   total.gauges["runtime.cluster.virtual_time_us"] = now_us_;
-  // Scheduler instruments: identical for every host thread count AND every
-  // scheduler policy (the policy itself is deliberately not exported — the
-  // snapshot is the byte-identity oracle between the two).
+  // Scheduler instruments: identical for every host thread count.
   total.counters["runtime.scheduler.ticks"] = ticks_;
   total.counters["runtime.scheduler.nodes_stepped"] = nodes_stepped_;
   total.counters["runtime.scheduler.idle_steps_skipped"] = idle_steps_skipped_;

@@ -21,17 +21,13 @@
 // Progress is driven by a Scheduler (docs/runtime.md): each progress()
 // tick advances the virtual clock to the next event, delivers the due
 // packets, fires the due retransmit timers, and steps only the nodes whose
-// communication kernels have matching work.  The default kEventDriven
-// policy maintains the active set and a retransmit-deadline wheel
-// incrementally, so a tick costs O(active nodes) and the fleet scales to
-// O(10k) nodes; kLegacyLockstep finds those nodes by scanning the whole
-// fleet (the seed's cost model).  Both policies produce bit-identical
-// results and telemetry.
+// communication kernels have matching work.  The scheduler maintains the
+// active set and a retransmit-deadline wheel incrementally, so a tick
+// costs O(active nodes) and the fleet scales to O(10k) nodes.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -90,6 +86,14 @@ struct RecvResult {
   matching::StreamId stream = matching::kDefaultStream;  ///< Ordering domain.
 };
 
+/// How Cluster::progress() decides which nodes to schedule.  One policy
+/// exists: the event-driven Scheduler (docs/runtime.md).
+enum class SchedulerPolicy : int {
+  /// Maintain the active set and RTO wheel incrementally: a tick costs
+  /// O(active nodes), so quiescent nodes are never touched.
+  kEventDriven = 1,
+};
+
 /// Default for ClusterConfig::max_streams: the SIMTMSG_STREAMS environment
 /// variable when it holds a positive integer, else 64.  SIMTMSG_STREAMS=1
 /// pins a suite to the default stream without code changes — the
@@ -114,13 +118,10 @@ struct ClusterConfig {
   /// routing are bit-identical for every shard count.
   int shards_per_node = 1;
   /// How progress() decides which nodes to schedule (docs/runtime.md).
-  /// kEventDriven tracks the active set incrementally so a tick costs
-  /// O(active nodes); kLegacyLockstep scans the fleet every tick (the seed
-  /// behaviour, kept selectable).  Results and telemetry are bit-identical
-  /// between the two.  The default follows the SIMTMSG_SCHEDULER
-  /// environment variable (unset = kEventDriven) so the whole test suite
-  /// doubles as an equivalence wall.
-  SchedulerPolicy scheduler = default_scheduler_policy();
+  /// kEventDriven is the only value; the field stays so that code which
+  /// pins the policy explicitly (the host benchmark's workloads do) keeps
+  /// compiling.  Any other value is rejected by the constructor.
+  SchedulerPolicy scheduler = SchedulerPolicy::kEventDriven;
   /// Ordering domains per endpoint pair (docs/streams.md): stream ids in
   /// [0, max_streams) are accepted by the stream-qualified send/irecv
   /// overloads.  Stream 0 always exists (max_streams must be >= 1); the
@@ -144,7 +145,7 @@ class Cluster {
  public:
   /// Throws std::invalid_argument (naming the offending field and value)
   /// when the configuration is inconsistent: nodes < 1, shards_per_node
-  /// < 1, a scheduler policy outside the enum, or invalid semantics.
+  /// < 1, a scheduler policy other than kEventDriven, or invalid semantics.
   explicit Cluster(ClusterConfig cfg);
 
   // The Scheduler probes capture `this`; the cluster must not move.
@@ -155,9 +156,6 @@ class Cluster {
   [[nodiscard]] double now_us() const noexcept { return now_us_; }
   [[nodiscard]] const matching::SemanticsConfig& semantics() const noexcept {
     return cfg_.semantics;
-  }
-  [[nodiscard]] SchedulerPolicy scheduler_policy() const noexcept {
-    return cfg_.scheduler;
   }
 
   /// Non-blocking send from node `from` to node `to` on `stream`'s
@@ -234,7 +232,7 @@ class Cluster {
   /// runtime.node.<n>.matching_seconds gauge per node, and the
   /// runtime.scheduler.* instruments (ticks, nodes stepped, idle steps
   /// skipped, wakes, RTO expiries, active-set peak).  Bit-identical for
-  /// every host thread count AND every scheduler policy.
+  /// every host thread count.
   [[nodiscard]] telemetry::TelemetryReport snapshot() const;
 
   /// Every message the reliability layer gave up on (retry cap exhausted,
@@ -253,6 +251,10 @@ class Cluster {
   }
 
  private:
+  /// The test-side scan oracle (tests/runtime/scan_oracle.hpp) reads the
+  /// scheduler and its probe and drives progress tick by tick.
+  friend class ScanOracle;
+
   /// A receive posted but not yet completed: the O(1) index wait() and the
   /// deadlock diagnostics use instead of scanning the posted queues.
   struct PendingRecv {
@@ -270,13 +272,15 @@ class Cluster {
   /// Throws std::invalid_argument when stream.id is outside
   /// [0, cfg_.max_streams).
   void validate_stream(Stream stream) const;
+  /// The scheduler's view of the cluster state (captures `this`).
+  [[nodiscard]] Scheduler::Probe scheduler_probe();
 
   ClusterConfig cfg_;
   telemetry::Registry fabric_telemetry_;  ///< runtime.fault.* / runtime.reliability.*.
   GlobalAddressSpace gas_;
   std::vector<ProgressEngine> engines_;
   std::vector<matching::RecvQueue> posted_;
-  std::unique_ptr<Scheduler> scheduler_;
+  Scheduler scheduler_;
   std::unordered_map<std::uint64_t, RecvResult> completed_;  ///< By handle id.
   std::unordered_map<std::uint64_t, PendingRecv> pending_;   ///< By handle id.
   std::vector<DeliveryFailure> failures_;
@@ -295,8 +299,8 @@ class Cluster {
   std::map<matching::StreamId, std::uint64_t> stream_posts_;
   double now_us_ = 0.0;
 
-  // runtime.scheduler.* instruments (identical across policies and host
-  // thread counts — maintained on the single-threaded progress path).
+  // runtime.scheduler.* instruments (identical across host thread counts —
+  // maintained on the single-threaded progress path).
   std::uint64_t ticks_ = 0;
   std::uint64_t nodes_stepped_ = 0;
   std::uint64_t idle_steps_skipped_ = 0;

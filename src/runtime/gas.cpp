@@ -67,20 +67,6 @@ double GlobalAddressSpace::inject(Packet p, double now_us) {
   return arrival;
 }
 
-std::size_t GlobalAddressSpace::deliver_until(double until_us) {
-  std::size_t delivered = 0;
-  while (!in_flight_.empty() && in_flight_.top().arrival_us <= until_us) {
-    const Packet p = in_flight_.top();
-    in_flight_.pop();
-    matching::Message m;
-    m.env = p.env;
-    m.payload = p.payload;
-    incoming_[static_cast<std::size_t>(p.to)].push(m);
-    ++delivered;
-  }
-  return delivered;
-}
-
 std::size_t GlobalAddressSpace::deliver_raw_until(double until_us,
                                                   std::vector<Packet>& out) {
   std::size_t delivered = 0;

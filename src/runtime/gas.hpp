@@ -46,15 +46,10 @@ class GlobalAddressSpace {
   /// wire dropped the packet.
   double inject(Packet p, double now_us);
 
-  /// Move every packet with arrival <= `until_us` into its destination's
-  /// incoming queue (arrival order).  Returns the number delivered.  This
-  /// is the raw-fabric path; with a reliability layer the Cluster uses
-  /// deliver_raw_until instead.
-  std::size_t deliver_until(double until_us);
-
-  /// As deliver_until, but hands the raw packets (in arrival order) to the
-  /// caller instead of the incoming queues — the reliability layer decides
-  /// what is accepted.
+  /// Append every packet with arrival <= `until_us` to `out` in arrival
+  /// order (ties broken by injection order) and return how many.  The
+  /// caller decides what reaches the incoming queues: the Cluster pushes
+  /// raw packets straight in, or hands them to the reliability layer.
   std::size_t deliver_raw_until(double until_us, std::vector<Packet>& out);
 
   /// Earliest in-flight arrival, or a negative value when nothing is in

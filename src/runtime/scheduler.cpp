@@ -1,21 +1,8 @@
 #include "runtime/scheduler.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <set>
-#include <stdexcept>
-#include <string>
-#include <utility>
 
 namespace simtmsg::runtime {
-
-std::string_view to_string(SchedulerPolicy policy) noexcept {
-  switch (policy) {
-    case SchedulerPolicy::kLegacyLockstep: return "lockstep";
-    case SchedulerPolicy::kEventDriven: return "event-driven";
-  }
-  return "?";
-}
 
 std::string_view to_string(NodeActivity activity) noexcept {
   switch (activity) {
@@ -27,150 +14,47 @@ std::string_view to_string(NodeActivity activity) noexcept {
   return "?";
 }
 
-SchedulerPolicy default_scheduler_policy() {
-  // Event-driven is the default (it soaked for three PRs behind the
-  // byte-identity wall); the lockstep seed behaviour stays selectable via
-  // SIMTMSG_SCHEDULER=lockstep or an explicit ClusterConfig::scheduler.
-  const char* v = std::getenv("SIMTMSG_SCHEDULER");
-  if (v == nullptr || *v == '\0') return SchedulerPolicy::kEventDriven;
-  const std::string_view s(v);
-  if (s == "lockstep" || s == "legacy") return SchedulerPolicy::kLegacyLockstep;
-  if (s == "event" || s == "event-driven") return SchedulerPolicy::kEventDriven;
-  throw std::invalid_argument(
-      "SIMTMSG_SCHEDULER must be 'lockstep' or 'event' (got '" + std::string(s) +
-      "')");
+Scheduler::Scheduler(int nodes, Probe probe)
+    : probe_(std::move(probe)), armed_(static_cast<std::size_t>(nodes), -1.0) {}
+
+void Scheduler::wake(int node) {
+  if (probe_.runnable(node)) runnable_.insert(node);
 }
 
-namespace {
+void Scheduler::rto_touched(int node) {
+  const double fresh = probe_.rto_deadline(node);
+  double& armed = armed_[static_cast<std::size_t>(node)];
+  if (fresh == armed) return;  // Both exact copies of the channel's value.
+  if (armed >= 0.0) wheel_.erase(wheel_.find({armed, node}));
+  armed = fresh >= 0.0 ? fresh : -1.0;
+  if (armed >= 0.0) wheel_.insert({armed, node});
+}
 
-/// The seed's cost model: every per-tick query scans all nodes through the
-/// probe.  State-change notifications are no-ops — there is no state.
-class LockstepScheduler final : public Scheduler {
- public:
-  LockstepScheduler(int nodes, Probe probe) : nodes_(nodes), probe_(std::move(probe)) {}
-
-  [[nodiscard]] SchedulerPolicy policy() const noexcept override {
-    return SchedulerPolicy::kLegacyLockstep;
+void Scheduler::stepped(int node, bool runnable) {
+  if (runnable) {
+    runnable_.insert(node);
+  } else {
+    runnable_.erase(node);
   }
+}
 
-  void wake(int) override {}
-  void rto_touched(int) override {}
-  void stepped(int, bool) override {}
+void Scheduler::collect_active(std::vector<int>& out) const {
+  out.assign(runnable_.begin(), runnable_.end());  // std::set: ascending.
+}
 
-  void collect_active(std::vector<int>& out) override {
-    out.clear();
-    for (int n = 0; n < nodes_; ++n) {
-      if (probe_.runnable(n)) out.push_back(n);
-    }
+double Scheduler::next_rto_deadline() const {
+  return wheel_.empty() ? -1.0 : wheel_.begin()->first;
+}
+
+void Scheduler::collect_due(double now_us, std::vector<int>& out) const {
+  out.clear();
+  for (auto it = wheel_.begin(); it != wheel_.end() && it->first <= now_us; ++it) {
+    out.push_back(it->second);
   }
-
-  [[nodiscard]] double next_rto_deadline() const override {
-    double next = -1.0;
-    for (int n = 0; n < nodes_; ++n) {
-      const double d = probe_.rto_deadline(n);
-      if (d >= 0.0 && (next < 0.0 || d < next)) next = d;
-    }
-    return next;
-  }
-
-  void collect_due(double now_us, std::vector<int>& out) override {
-    out.clear();
-    for (int n = 0; n < nodes_; ++n) {
-      const double d = probe_.rto_deadline(n);
-      if (d >= 0.0 && d <= now_us) out.push_back(n);
-    }
-  }
-
-  [[nodiscard]] bool rto_idle() const override {
-    for (int n = 0; n < nodes_; ++n) {
-      if (probe_.rto_deadline(n) >= 0.0) return false;
-    }
-    return true;
-  }
-
- private:
-  int nodes_;
-  Probe probe_;
-};
-
-/// Incremental scheduler: a runnable set fed by wake()/stepped() and a
-/// deadline wheel with one entry per node at that node's earliest RTO.
-/// Every query is O(answer), not O(nodes).
-class EventScheduler final : public Scheduler {
- public:
-  EventScheduler(int nodes, Probe probe)
-      : probe_(std::move(probe)), armed_(static_cast<std::size_t>(nodes), -1.0) {}
-
-  [[nodiscard]] SchedulerPolicy policy() const noexcept override {
-    return SchedulerPolicy::kEventDriven;
-  }
-
-  void wake(int node) override {
-    if (probe_.runnable(node)) runnable_.insert(node);
-  }
-
-  void rto_touched(int node) override {
-    const double fresh = probe_.rto_deadline(node);
-    double& armed = armed_[static_cast<std::size_t>(node)];
-    if (fresh == armed) return;  // Both exact copies of the channel's value.
-    if (armed >= 0.0) wheel_.erase(wheel_.find({armed, node}));
-    armed = fresh >= 0.0 ? fresh : -1.0;
-    if (armed >= 0.0) wheel_.insert({armed, node});
-  }
-
-  void stepped(int node, bool runnable) override {
-    if (runnable) {
-      runnable_.insert(node);
-    } else {
-      runnable_.erase(node);
-    }
-  }
-
-  void collect_active(std::vector<int>& out) override {
-    out.assign(runnable_.begin(), runnable_.end());  // std::set: ascending.
-  }
-
-  [[nodiscard]] double next_rto_deadline() const override {
-    return wheel_.empty() ? -1.0 : wheel_.begin()->first;
-  }
-
-  void collect_due(double now_us, std::vector<int>& out) override {
-    out.clear();
-    for (auto it = wheel_.begin(); it != wheel_.end() && it->first <= now_us; ++it) {
-      out.push_back(it->second);
-    }
-    // One wheel entry per node, but entries are deadline-ordered; the
-    // cluster expires nodes in ascending node order (the wire-sequence
-    // stamping of retransmits depends on it).
-    std::sort(out.begin(), out.end());
-  }
-
-  [[nodiscard]] bool rto_idle() const override { return wheel_.empty(); }
-
- private:
-  Probe probe_;
-  /// Nodes whose incoming and posted queues are both non-empty.
-  std::set<int> runnable_;
-  /// (deadline, node), one entry per node at its earliest RTO.  A multiset
-  /// because two nodes may share a deadline (coalesced timers).
-  std::multiset<std::pair<double, int>> wheel_;
-  /// The deadline currently indexed for each node (-1 = none): the exact
-  /// key to erase on re-arm.
-  std::vector<double> armed_;
-};
-
-}  // namespace
-
-std::unique_ptr<Scheduler> Scheduler::make(SchedulerPolicy policy, int nodes,
-                                           Probe probe) {
-  switch (policy) {
-    case SchedulerPolicy::kLegacyLockstep:
-      return std::make_unique<LockstepScheduler>(nodes, std::move(probe));
-    case SchedulerPolicy::kEventDriven:
-      return std::make_unique<EventScheduler>(nodes, std::move(probe));
-  }
-  throw std::invalid_argument("unknown SchedulerPolicy " +
-                              std::to_string(static_cast<int>(policy)));
+  // One wheel entry per node, but entries are deadline-ordered; the
+  // cluster expires nodes in ascending node order (the wire-sequence
+  // stamping of retransmits depends on it).
+  std::sort(out.begin(), out.end());
 }
 
 }  // namespace simtmsg::runtime

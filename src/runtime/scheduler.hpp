@@ -2,55 +2,28 @@
 //
 // The paper's Figure 1(b) vision is accelerators autonomously sourcing and
 // sinking traffic; what caps the simulated fleet size is not matching cost
-// but the runtime loop itself.  The seed runtime stepped every node's
-// communication kernel on every tick and scanned every reliability channel
-// for its next retransmit deadline, so a 10k-node cluster paid O(nodes)
-// per tick even when three nodes were talking.  This interface splits that
-// decision out of Cluster::progress():
+// but the runtime loop itself.  Stepping every node's communication kernel
+// on every tick and scanning every reliability channel for its next
+// retransmit deadline costs O(nodes) per tick even when three nodes are
+// talking.  The Scheduler maintains the answers incrementally instead — a
+// runnable set (nodes whose incoming-message and posted-receive queues are
+// both non-empty) fed by wake() events, and a retransmit-deadline wheel
+// (one entry per node at that node's earliest RTO, generalizing the
+// reliability channel's per-node multiset index) fed by rto_touched()
+// events — so a tick costs O(active), not O(nodes).
 //
-//   * LockstepScheduler (SchedulerPolicy::kLegacyLockstep) keeps the
-//     seed's cost model: every query is a scan over all nodes.
-//   * EventScheduler (SchedulerPolicy::kEventDriven, the default) maintains
-//     the answers
-//     incrementally — a runnable set (nodes whose incoming-message and
-//     posted-receive queues are both non-empty) fed by wake() events, and a
-//     retransmit-deadline wheel (one entry per node at that node's earliest
-//     RTO, generalizing the reliability channel's per-node multiset index)
-//     fed by rto_touched() events — so a tick costs O(active), not O(nodes).
-//
-// Both policies schedule exactly the same nodes in exactly the same
-// (ascending) order and expose the same deadlines, so match results,
-// delivery failures, and every telemetry counter — including the
-// runtime.scheduler.* instruments — are bit-identical between them.  Every
-// existing cluster test therefore doubles as an equivalence oracle
-// (docs/runtime.md).
+// Every answer equals what a scan of the whole fleet through the Probe
+// would return; the test-side scan oracle (tests/runtime/scan_oracle.hpp)
+// checks that after every tick (docs/runtime.md).
 #pragma once
 
 #include <functional>
-#include <memory>
+#include <set>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace simtmsg::runtime {
-
-/// How Cluster::progress() decides which nodes to schedule each tick.
-enum class SchedulerPolicy : int {
-  /// Scan all nodes every tick (the seed's loop, bit-identical results).
-  kLegacyLockstep = 0,
-  /// Maintain the active set and RTO wheel incrementally: a tick costs
-  /// O(active nodes), so quiescent nodes are never touched.
-  kEventDriven = 1,
-};
-
-[[nodiscard]] std::string_view to_string(SchedulerPolicy policy) noexcept;
-
-/// Policy a default-constructed ClusterConfig uses.  kEventDriven unless
-/// the SIMTMSG_SCHEDULER environment variable says otherwise ("lockstep" /
-/// "legacy" or "event" / "event-driven"; anything else throws).  The env
-/// override is the equivalence wall's lever: CI re-runs the whole runtime
-/// and chaos suites with SIMTMSG_SCHEDULER=lockstep, so every test that
-/// does not pin a policy exercises both schedulers.
-[[nodiscard]] SchedulerPolicy default_scheduler_policy();
 
 /// What a node is doing from the scheduler's point of view — the
 /// vocabulary of Cluster::wait() deadlock diagnostics.
@@ -80,38 +53,44 @@ class Scheduler {
     std::function<double(int)> rto_deadline;
   };
 
-  virtual ~Scheduler() = default;
-
-  [[nodiscard]] virtual SchedulerPolicy policy() const noexcept = 0;
+  Scheduler(int nodes, Probe probe);
 
   /// A queue push may have made `node` runnable (message delivered or
   /// receive posted).
-  virtual void wake(int node) = 0;
+  void wake(int node);
 
   /// `node`'s reliability channel changed (send tracked, ack processed, or
   /// timers expired): its earliest RTO deadline may differ now.
-  virtual void rto_touched(int node) = 0;
+  void rto_touched(int node);
 
   /// The node stepped; `runnable` says whether it still has matching work
   /// (the ProgressEngine::step() StepResult contract).
-  virtual void stepped(int node, bool runnable) = 0;
+  void stepped(int node, bool runnable);
 
-  /// Nodes to step this tick, ascending.  Clears `out` first.
-  virtual void collect_active(std::vector<int>& out) = 0;
+  /// Nodes to step this tick, ascending.  Replaces `out`'s contents.
+  void collect_active(std::vector<int>& out) const;
 
   /// Earliest retransmit deadline across the fleet, or negative when no
   /// node has unacked sends.
-  [[nodiscard]] virtual double next_rto_deadline() const = 0;
+  [[nodiscard]] double next_rto_deadline() const;
 
-  /// Nodes whose earliest RTO deadline is <= now_us, ascending.  Clears
-  /// `out` first.
-  virtual void collect_due(double now_us, std::vector<int>& out) = 0;
+  /// Nodes whose earliest RTO deadline is <= now_us, ascending.  Replaces
+  /// `out`'s contents.
+  void collect_due(double now_us, std::vector<int>& out) const;
 
   /// True when no node has unacked sends (reliability quiescence).
-  [[nodiscard]] virtual bool rto_idle() const = 0;
+  [[nodiscard]] bool rto_idle() const { return wheel_.empty(); }
 
-  [[nodiscard]] static std::unique_ptr<Scheduler> make(SchedulerPolicy policy,
-                                                       int nodes, Probe probe);
+ private:
+  Probe probe_;
+  /// Nodes whose incoming and posted queues are both non-empty.
+  std::set<int> runnable_;
+  /// (deadline, node), one entry per node at its earliest RTO.  A multiset
+  /// because two nodes may share a deadline (coalesced timers).
+  std::multiset<std::pair<double, int>> wheel_;
+  /// The deadline currently indexed for each node (-1 = none): the exact
+  /// key to erase on re-arm.
+  std::vector<double> armed_;
 };
 
 }  // namespace simtmsg::runtime

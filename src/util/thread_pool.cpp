@@ -10,13 +10,7 @@ namespace {
 thread_local bool tls_in_pool_task = false;
 }  // namespace
 
-ThreadPool::ThreadPool(int threads) {
-  const int n = std::max(1, threads);
-  threads_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    threads_.emplace_back([this] { worker_loop(); });
-  }
-}
+ThreadPool::ThreadPool(int threads) : workers_(std::max(1, threads)) {}
 
 ThreadPool::~ThreadPool() {
   {
@@ -62,7 +56,7 @@ void ThreadPool::drain_job(std::unique_lock<std::mutex>& lock) {
 
 void ThreadPool::run_indexed(std::size_t count, int parallelism, IndexedFn fn) {
   if (count == 0) return;
-  if (parallelism <= 1 || count == 1 || threads_.empty() || tls_in_pool_task) {
+  if (parallelism <= 1 || count == 1 || tls_in_pool_task) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
@@ -70,6 +64,10 @@ void ThreadPool::run_indexed(std::size_t count, int parallelism, IndexedFn fn) {
   // One job at a time: a second top-level caller waits its turn rather than
   // clobbering the active job.
   const std::lock_guard<std::mutex> submit(submit_mutex_);
+  if (threads_.empty()) {
+    threads_.reserve(static_cast<std::size_t>(workers_));
+    for (int i = 0; i < workers_; ++i) threads_.emplace_back([this] { worker_loop(); });
+  }
   std::unique_lock<std::mutex> lock(mutex_);
   job_ = Job{};
   job_.fn = fn;

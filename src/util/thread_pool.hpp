@@ -11,8 +11,10 @@
 // level, including p == 1 (which runs entirely on the calling thread and
 // never wakes a worker).
 //
-// Workers are started lazily and kept alive for the process lifetime
-// (`shared()`), so repeated kernel launches pay no thread start-up cost.
+// Workers start on the first run_indexed that actually fans out (so a
+// process whose launches are all serial never starts a thread) and stay
+// alive for the pool's lifetime — the process lifetime for `shared()` — so
+// repeated kernel launches pay no thread start-up cost.
 #pragma once
 
 #include <condition_variable>
@@ -28,9 +30,10 @@ namespace simtmsg::util {
 
 class ThreadPool {
  public:
-  /// A pool with `threads` persistent workers (clamped to >= 1).  The
-  /// calling thread of run_indexed always participates, so a pool of k
-  /// workers sustains parallelism k + 1.
+  /// A pool of `threads` persistent workers (clamped to >= 1), started on
+  /// the first parallel run_indexed.  The calling thread of run_indexed
+  /// always participates, so a pool of k workers sustains parallelism
+  /// k + 1.
   explicit ThreadPool(int threads);
   ~ThreadPool();
 
@@ -42,7 +45,8 @@ class ThreadPool {
   /// matter how many matchers run.
   static ThreadPool& shared();
 
-  [[nodiscard]] int workers() const noexcept { return static_cast<int>(threads_.size()); }
+  /// Configured worker count (whether or not the workers started yet).
+  [[nodiscard]] int workers() const noexcept { return workers_; }
 
   /// Per-index work callback.  A non-owning reference: run_indexed blocks
   /// until every index completed, so the callable the caller passed always
@@ -72,13 +76,14 @@ class ThreadPool {
   /// job has no indices left to claim.
   void drain_job(std::unique_lock<std::mutex>& lock);
 
+  const int workers_;
   std::mutex submit_mutex_;  ///< Serializes top-level run_indexed callers.
   std::mutex mutex_;
   std::condition_variable wake_;  ///< Workers wait for a job or shutdown.
   std::condition_variable done_;  ///< Caller waits for job completion.
   Job job_;
   bool stopping_ = false;
-  std::vector<std::thread> threads_;
+  std::vector<std::thread> threads_;  ///< Empty until the first fan-out.
 };
 
 }  // namespace simtmsg::util

@@ -39,13 +39,13 @@ TEST(StreamQueue, EachStreamOwnsAnIndependentSequenceCursor) {
   q.push(msg(0, 5, 0, /*stream=*/7, 6));
 
   const auto lanes = q.lanes();
-  ASSERT_EQ(lanes.seq.size(), 6u);
-  EXPECT_EQ(lanes.seq[0], 0u);  // Stream 0: 0, 1.
-  EXPECT_EQ(lanes.seq[2], 1u);
-  EXPECT_EQ(lanes.seq[1], 0u);  // Stream 7: 0, 1, 2.
-  EXPECT_EQ(lanes.seq[3], 1u);
-  EXPECT_EQ(lanes.seq[5], 2u);
-  EXPECT_EQ(lanes.seq[4], 0u);  // Stream 3: 0.
+  ASSERT_EQ(q.size(), 6u);
+  EXPECT_EQ(q[0].seq, 0u);  // Stream 0: 0, 1.
+  EXPECT_EQ(q[2].seq, 1u);
+  EXPECT_EQ(q[1].seq, 0u);  // Stream 7: 0, 1, 2.
+  EXPECT_EQ(q[3].seq, 1u);
+  EXPECT_EQ(q[5].seq, 2u);
+  EXPECT_EQ(q[4].seq, 0u);  // Stream 3: 0.
   EXPECT_EQ(std::vector<StreamId>(lanes.stream.begin(), lanes.stream.end()),
             (std::vector<StreamId>{0, 7, 0, 7, 3, 7}));
 }
@@ -60,10 +60,9 @@ TEST(StreamQueue, RawPushAdvancesOnlyItsOwnStreamCursor) {
   // ...while stream 0's cursor is untouched.
   q.push(msg(0, 2, 0, /*stream=*/0, 0));
 
-  const auto lanes = q.lanes();
-  EXPECT_EQ(lanes.seq[0], 500u);
-  EXPECT_EQ(lanes.seq[1], 501u);
-  EXPECT_EQ(lanes.seq[2], 0u);
+  EXPECT_EQ(q[0].seq, 500u);
+  EXPECT_EQ(q[1].seq, 501u);
+  EXPECT_EQ(q[2].seq, 0u);
 }
 
 TEST(StreamQueue, CompactPreservesStreamLaneAlignment) {
@@ -80,7 +79,7 @@ TEST(StreamQueue, CompactPreservesStreamLaneAlignment) {
   EXPECT_EQ(lanes.stream[1], 3);
   EXPECT_EQ(q[0].env.stream, 1);
   EXPECT_EQ(q[1].env.stream, 3);
-  EXPECT_EQ(lanes.seq[1], q[1].seq);
+  EXPECT_EQ(q[1].seq, 0u);  // Stream 3's first stamp survives compaction.
 }
 
 TEST(StreamMatching, StreamJoinsTheMatchTuple) {
@@ -182,13 +181,13 @@ TEST(StreamMatching, BatchLanesMatchPerMessageLanes) {
 
   const auto a = batched.lanes();
   const auto b = single.lanes();
-  ASSERT_EQ(a.seq.size(), b.seq.size());
-  for (std::size_t i = 0; i < a.seq.size(); ++i) {
+  ASSERT_EQ(batched.size(), single.size());
+  for (std::size_t i = 0; i < batched.size(); ++i) {
     EXPECT_EQ(a.src[i], b.src[i]) << i;
     EXPECT_EQ(a.tag[i], b.tag[i]) << i;
     EXPECT_EQ(a.comm[i], b.comm[i]) << i;
     EXPECT_EQ(a.stream[i], b.stream[i]) << i;
-    EXPECT_EQ(a.seq[i], b.seq[i]) << i;
+    EXPECT_EQ(batched[i].seq, single[i].seq) << i;
     EXPECT_EQ(a.word[i], b.word[i]) << i;
   }
 }

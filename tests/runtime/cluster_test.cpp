@@ -5,9 +5,9 @@
 namespace simtmsg::runtime {
 namespace {
 
-// Every cluster test runs under both scheduler policies (the equivalence
-// wall: kEventDriven must be observationally identical to the seed's
-// lockstep loop).  Tests asserting *scheduler-specific* behavior live in
+// Every cluster test runs once per SchedulerPolicy value; kEventDriven is
+// the only one.  Tests asserting *scheduler-specific* behavior, and the
+// scan-oracle wall the scheduler is checked against, live in
 // scheduler_test.cpp.
 class ClusterPolicyTest : public ::testing::TestWithParam<SchedulerPolicy> {
  protected:
@@ -20,12 +20,9 @@ class ClusterPolicyTest : public ::testing::TestWithParam<SchedulerPolicy> {
   ClusterConfig two_nodes() const { return nodes_cfg(2); }
 };
 
-INSTANTIATE_TEST_SUITE_P(
-    Policies, ClusterPolicyTest,
-    ::testing::Values(SchedulerPolicy::kLegacyLockstep, SchedulerPolicy::kEventDriven),
-    [](const auto& info) {
-      return info.param == SchedulerPolicy::kLegacyLockstep ? "Lockstep" : "EventDriven";
-    });
+INSTANTIATE_TEST_SUITE_P(Policies, ClusterPolicyTest,
+                         ::testing::Values(SchedulerPolicy::kEventDriven),
+                         [](const auto&) { return "EventDriven"; });
 
 TEST_P(ClusterPolicyTest, SendThenRecvCompletes) {
   Cluster c(two_nodes());

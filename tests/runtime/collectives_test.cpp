@@ -19,27 +19,25 @@ std::vector<std::uint64_t> iota_contributions(int n) {
   return v;
 }
 
-/// Axes: node count x pattern-table matching x scheduler policy.  Every
-/// dense collective must be value-identical across the whole grid.
-class CollectivesParam
-    : public ::testing::TestWithParam<std::tuple<int, bool, SchedulerPolicy>> {
+/// Axes: node count x pattern-table matching.  Every dense collective must
+/// be value-identical across the whole grid.
+class CollectivesParam : public ::testing::TestWithParam<std::tuple<int, bool>> {
  protected:
   [[nodiscard]] static int nodes() { return std::get<0>(GetParam()); }
 
   [[nodiscard]] static ClusterConfig cfg() {
     ClusterConfig c = nodes_cfg(nodes());
     c.semantics.pattern_table = std::get<1>(GetParam());
-    c.scheduler = std::get<2>(GetParam());
     return c;
   }
 };
 
+/// The "_event" suffix names the event-driven scheduler the instances run
+/// under.
 std::string collectives_param_name(
-    const ::testing::TestParamInfo<std::tuple<int, bool, SchedulerPolicy>>& info) {
+    const ::testing::TestParamInfo<std::tuple<int, bool>>& info) {
   return "p" + std::to_string(std::get<0>(info.param)) +
-         (std::get<1>(info.param) ? "_pattern" : "_baseline") +
-         (std::get<2>(info.param) == SchedulerPolicy::kEventDriven ? "_event"
-                                                                   : "_lockstep");
+         (std::get<1>(info.param) ? "_pattern" : "_baseline") + "_event";
 }
 
 TEST_P(CollectivesParam, BroadcastReachesEveryNode) {
@@ -91,12 +89,10 @@ TEST_P(CollectivesParam, AllgatherCollectsAllBlocks) {
 }
 
 // Power-of-two and odd node counts (recursive doubling vs reduce+bcast),
-// list vs pattern-table matching, both scheduler policies.
+// list vs pattern-table matching.
 INSTANTIATE_TEST_SUITE_P(
     NodeCountsByMatcherBySchedulers, CollectivesParam,
-    ::testing::Combine(::testing::Values(1, 2, 3, 4, 7, 8, 16), ::testing::Bool(),
-                       ::testing::Values(SchedulerPolicy::kLegacyLockstep,
-                                         SchedulerPolicy::kEventDriven)),
+    ::testing::Combine(::testing::Values(1, 2, 3, 4, 7, 8, 16), ::testing::Bool()),
     collectives_param_name);
 
 TEST(Collectives, AllreduceWithMaxOperator) {

@@ -1,20 +1,21 @@
-// The event-driven scheduler's own wall: wheel unit tests driven through
-// Scheduler::make with probe lambdas over test-local state, the
-// lockstep-vs-event byte-identity oracle over full cluster scenarios, the
-// config/env validation, and a 1k-node scale smoke.
+// The scheduler's own wall: runnable-set / RTO-wheel unit tests driven by
+// probe lambdas over test-local state, a seeded random differential test
+// against the scan oracle, config validation, and the cluster-level wall —
+// full scenarios whose scheduler must agree with a scan of the whole fleet
+// after every tick — plus a 1k-node scale smoke.
 #include "runtime/scheduler.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "runtime/bsp.hpp"
 #include "runtime/collectives.hpp"
 #include "runtime/endpoint.hpp"
+#include "scan_oracle.hpp"
+#include "util/rng.hpp"
 
 namespace simtmsg::runtime {
 namespace {
@@ -27,58 +28,55 @@ class EventWheelTest : public ::testing::Test {
  protected:
   static constexpr int kNodes = 8;
 
-  EventWheelTest() {
-    scheduler_ = Scheduler::make(
-        SchedulerPolicy::kEventDriven, kNodes,
-        Scheduler::Probe{
-            .runnable = [this](int n) { return runnable_[static_cast<std::size_t>(n)]; },
-            .rto_deadline =
-                [this](int n) { return deadline_[static_cast<std::size_t>(n)]; },
-        });
+  Scheduler::Probe probe() {
+    return Scheduler::Probe{
+        .runnable = [this](int n) { return runnable_[static_cast<std::size_t>(n)]; },
+        .rto_deadline = [this](int n) { return deadline_[static_cast<std::size_t>(n)]; },
+    };
   }
 
   std::vector<bool> runnable_ = std::vector<bool>(kNodes, false);
   std::vector<double> deadline_ = std::vector<double>(kNodes, -1.0);
-  std::unique_ptr<Scheduler> scheduler_;
+  Scheduler scheduler_{kNodes, probe()};
 };
 
 TEST_F(EventWheelTest, StartsIdle) {
   std::vector<int> out{99};
-  scheduler_->collect_active(out);
+  scheduler_.collect_active(out);
   EXPECT_TRUE(out.empty());
-  EXPECT_LT(scheduler_->next_rto_deadline(), 0.0);
-  EXPECT_TRUE(scheduler_->rto_idle());
+  EXPECT_LT(scheduler_.next_rto_deadline(), 0.0);
+  EXPECT_TRUE(scheduler_.rto_idle());
 }
 
 TEST_F(EventWheelTest, WakeAddsOnlyActuallyRunnableNodes) {
   runnable_[3] = true;
-  scheduler_->wake(3);
-  scheduler_->wake(5);  // Probe says idle: a spurious wake must not stick.
+  scheduler_.wake(3);
+  scheduler_.wake(5);  // Probe says idle: a spurious wake must not stick.
   std::vector<int> out;
-  scheduler_->collect_active(out);
+  scheduler_.collect_active(out);
   EXPECT_EQ(out, (std::vector<int>{3}));
 }
 
 TEST_F(EventWheelTest, ActiveSetIsAscendingAndDedupes) {
   for (int n : {6, 2, 4, 2, 6}) {
     runnable_[static_cast<std::size_t>(n)] = true;
-    scheduler_->wake(n);
+    scheduler_.wake(n);
   }
   std::vector<int> out;
-  scheduler_->collect_active(out);
+  scheduler_.collect_active(out);
   EXPECT_EQ(out, (std::vector<int>{2, 4, 6}));
 }
 
 TEST_F(EventWheelTest, SteppedRetiresIdleNodes) {
   runnable_[1] = runnable_[2] = true;
-  scheduler_->wake(1);
-  scheduler_->wake(2);
+  scheduler_.wake(1);
+  scheduler_.wake(2);
   // Node 1 drained its queues; node 2 still has an unmatchable pair.
   runnable_[1] = false;
-  scheduler_->stepped(1, false);
-  scheduler_->stepped(2, true);
+  scheduler_.stepped(1, false);
+  scheduler_.stepped(2, true);
   std::vector<int> out;
-  scheduler_->collect_active(out);
+  scheduler_.collect_active(out);
   EXPECT_EQ(out, (std::vector<int>{2}));
 }
 
@@ -86,111 +84,122 @@ TEST_F(EventWheelTest, WheelOrdersDeadlines) {
   deadline_[4] = 30.0;
   deadline_[1] = 10.0;
   deadline_[6] = 20.0;
-  for (int n : {4, 1, 6}) scheduler_->rto_touched(n);
-  EXPECT_DOUBLE_EQ(scheduler_->next_rto_deadline(), 10.0);
-  EXPECT_FALSE(scheduler_->rto_idle());
+  for (int n : {4, 1, 6}) scheduler_.rto_touched(n);
+  EXPECT_DOUBLE_EQ(scheduler_.next_rto_deadline(), 10.0);
+  EXPECT_FALSE(scheduler_.rto_idle());
 
   std::vector<int> due;
-  scheduler_->collect_due(20.0, due);
+  scheduler_.collect_due(20.0, due);
   EXPECT_EQ(due, (std::vector<int>{1, 6}));  // Ascending node id, not deadline.
 }
 
 TEST_F(EventWheelTest, CoalescedDeadlinesAllFire) {
   deadline_[2] = deadline_[5] = deadline_[7] = 42.0;
-  for (int n : {2, 5, 7}) scheduler_->rto_touched(n);
+  for (int n : {2, 5, 7}) scheduler_.rto_touched(n);
   std::vector<int> due;
-  scheduler_->collect_due(42.0, due);
+  scheduler_.collect_due(42.0, due);
   EXPECT_EQ(due, (std::vector<int>{2, 5, 7}));
 }
 
 TEST_F(EventWheelTest, ReArmMovesTheEntry) {
   deadline_[3] = 10.0;
-  scheduler_->rto_touched(3);
+  scheduler_.rto_touched(3);
   // The timer fired and backed off: same node, later deadline.
   deadline_[3] = 25.0;
-  scheduler_->rto_touched(3);
+  scheduler_.rto_touched(3);
   std::vector<int> due;
-  scheduler_->collect_due(10.0, due);
+  scheduler_.collect_due(10.0, due);
   EXPECT_TRUE(due.empty()) << "stale entry survived the re-arm";
-  EXPECT_DOUBLE_EQ(scheduler_->next_rto_deadline(), 25.0);
+  EXPECT_DOUBLE_EQ(scheduler_.next_rto_deadline(), 25.0);
 }
 
 TEST_F(EventWheelTest, DisarmRemovesTheEntry) {
   deadline_[3] = 10.0;
-  scheduler_->rto_touched(3);
+  scheduler_.rto_touched(3);
   deadline_[3] = -1.0;  // Last outstanding send acked.
-  scheduler_->rto_touched(3);
-  EXPECT_TRUE(scheduler_->rto_idle());
-  EXPECT_LT(scheduler_->next_rto_deadline(), 0.0);
+  scheduler_.rto_touched(3);
+  EXPECT_TRUE(scheduler_.rto_idle());
+  EXPECT_LT(scheduler_.next_rto_deadline(), 0.0);
 }
 
 TEST_F(EventWheelTest, RedundantTouchIsANoOp) {
   deadline_[0] = 5.0;
-  scheduler_->rto_touched(0);
-  scheduler_->rto_touched(0);
-  scheduler_->rto_touched(0);
+  scheduler_.rto_touched(0);
+  scheduler_.rto_touched(0);
+  scheduler_.rto_touched(0);
   std::vector<int> due;
-  scheduler_->collect_due(5.0, due);
+  scheduler_.collect_due(5.0, due);
   EXPECT_EQ(due, (std::vector<int>{0}));
 }
 
 TEST_F(EventWheelTest, CollectDueDoesNotConsumeTheWheel) {
   deadline_[1] = 10.0;
-  scheduler_->rto_touched(1);
+  scheduler_.rto_touched(1);
   std::vector<int> due;
-  scheduler_->collect_due(10.0, due);
+  scheduler_.collect_due(10.0, due);
   ASSERT_EQ(due.size(), 1u);
   // Until the cluster expires the channel and calls rto_touched, the entry
   // must still be there (expire may fire nothing if the probe re-checks).
-  scheduler_->collect_due(10.0, due);
+  scheduler_.collect_due(10.0, due);
   EXPECT_EQ(due, (std::vector<int>{1}));
 }
 
-// Both policies over the same probe state must answer every query
-// identically — the unit-level version of the cluster equivalence wall.
-TEST_F(EventWheelTest, LockstepAgreesOnEveryQuery) {
-  auto lockstep = Scheduler::make(
-      SchedulerPolicy::kLegacyLockstep, kNodes,
-      Scheduler::Probe{
-          .runnable = [this](int n) { return runnable_[static_cast<std::size_t>(n)]; },
-          .rto_deadline =
-              [this](int n) { return deadline_[static_cast<std::size_t>(n)]; },
-      });
-  runnable_[0] = runnable_[3] = runnable_[7] = true;
-  for (int n : {0, 3, 7}) scheduler_->wake(n);
-  deadline_[2] = 8.0;
-  deadline_[5] = 8.0;
-  deadline_[6] = 3.0;
-  for (int n : {2, 5, 6}) scheduler_->rto_touched(n);
-
-  std::vector<int> a, b;
-  scheduler_->collect_active(a);
-  lockstep->collect_active(b);
-  EXPECT_EQ(a, b);
-  scheduler_->collect_due(8.0, a);
-  lockstep->collect_due(8.0, b);
-  EXPECT_EQ(a, b);
-  EXPECT_DOUBLE_EQ(scheduler_->next_rto_deadline(), lockstep->next_rto_deadline());
-  EXPECT_EQ(scheduler_->rto_idle(), lockstep->rto_idle());
+// Random state changes, each reported through the hook the cluster calls
+// for it (docs/runtime.md), with every query compared against the scan
+// oracle after every event.  Deadlines come from a small grid so timers
+// coalesce and re-arms land on keys other nodes hold.
+TEST_F(EventWheelTest, AgreesWithScanOracleUnderRandomEvents) {
+  const ScanOracle oracle(kNodes, probe());
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    util::Rng rng(seed);
+    Scheduler sched(kNodes, probe());
+    runnable_.assign(kNodes, false);
+    deadline_.assign(kNodes, -1.0);
+    for (int event = 0; event < 2000; ++event) {
+      const int n = static_cast<int>(rng.below(kNodes));
+      const auto i = static_cast<std::size_t>(n);
+      switch (rng.below(4)) {
+        case 0:  // A queue push: may make the node runnable, never idle.
+          runnable_[i] = runnable_[i] || rng.chance(0.5);
+          sched.wake(n);
+          break;
+        case 1:  // An engine step (or a cancel) reports the node's verdict.
+          runnable_[i] = rng.chance(0.5);
+          sched.stepped(n, runnable_[i]);
+          break;
+        case 2:  // Send tracked, ack processed, or timers expired.
+          deadline_[i] = rng.chance(0.3) ? -1.0 : static_cast<double>(rng.below(16));
+          sched.rto_touched(n);
+          break;
+        default:  // A hook with no state change behind it must be harmless.
+          if (rng.chance(0.5)) {
+            sched.wake(n);
+          } else {
+            sched.rto_touched(n);
+          }
+          break;
+      }
+      const double now = static_cast<double>(rng.below(18));
+      ASSERT_TRUE(oracle.agrees(sched, now)) << "seed " << seed << ", event " << event;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
 // Validation.
 
-TEST(SchedulerValidation, MakeRejectsUnknownPolicy) {
-  EXPECT_THROW((void)Scheduler::make(static_cast<SchedulerPolicy>(42), 2,
-                                     Scheduler::Probe{}),
-               std::invalid_argument);
-}
-
+// kEventDriven is the only policy; every other value — including 0, the
+// retired lockstep policy's — is a typed configuration error.
 TEST(SchedulerValidation, ClusterRejectsOutOfRangePolicy) {
-  ClusterConfig cfg;
-  cfg.scheduler = static_cast<SchedulerPolicy>(42);
-  try {
-    Cluster c(cfg);
-    FAIL() << "constructor should have thrown";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("scheduler"), std::string::npos) << e.what();
+  for (const int bad : {0, 42}) {
+    ClusterConfig cfg;
+    cfg.scheduler = static_cast<SchedulerPolicy>(bad);
+    try {
+      Cluster c(cfg);
+      FAIL() << "constructor should have thrown for " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("scheduler"), std::string::npos) << e.what();
+    }
   }
 }
 
@@ -220,49 +229,10 @@ TEST(SchedulerValidation, ClusterNamesTheBadShardCount) {
 }
 
 TEST(SchedulerValidation, PolicyNamesRoundTrip) {
-  EXPECT_EQ(to_string(SchedulerPolicy::kLegacyLockstep), "lockstep");
-  EXPECT_EQ(to_string(SchedulerPolicy::kEventDriven), "event-driven");
   EXPECT_EQ(to_string(NodeActivity::kIdle), "idle");
   EXPECT_EQ(to_string(NodeActivity::kStarved), "starved");
   EXPECT_EQ(to_string(NodeActivity::kRunnable), "runnable");
   EXPECT_EQ(to_string(NodeActivity::kAwaitingRetransmit), "awaiting retransmit");
-}
-
-class SchedulerEnvTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    const char* prev = std::getenv("SIMTMSG_SCHEDULER");
-    if (prev != nullptr) saved_ = prev;
-  }
-  void TearDown() override {
-    if (saved_.has_value()) {
-      ::setenv("SIMTMSG_SCHEDULER", saved_->c_str(), 1);
-    } else {
-      ::unsetenv("SIMTMSG_SCHEDULER");
-    }
-  }
-  std::optional<std::string> saved_;
-};
-
-TEST_F(SchedulerEnvTest, DefaultIsEventDrivenWhenUnset) {
-  ::unsetenv("SIMTMSG_SCHEDULER");
-  EXPECT_EQ(default_scheduler_policy(), SchedulerPolicy::kEventDriven);
-}
-
-TEST_F(SchedulerEnvTest, RecognizesBothSpellingsOfEachPolicy) {
-  for (const char* v : {"lockstep", "legacy"}) {
-    ::setenv("SIMTMSG_SCHEDULER", v, 1);
-    EXPECT_EQ(default_scheduler_policy(), SchedulerPolicy::kLegacyLockstep) << v;
-  }
-  for (const char* v : {"event", "event-driven"}) {
-    ::setenv("SIMTMSG_SCHEDULER", v, 1);
-    EXPECT_EQ(default_scheduler_policy(), SchedulerPolicy::kEventDriven) << v;
-  }
-}
-
-TEST_F(SchedulerEnvTest, GarbageValueThrows) {
-  ::setenv("SIMTMSG_SCHEDULER", "warp-speed", 1);
-  EXPECT_THROW((void)default_scheduler_policy(), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -296,39 +266,46 @@ TEST(NodeActivityView, ReportsAwaitingRetransmit) {
 }
 
 // ---------------------------------------------------------------------------
-// Cluster-level byte-identity: run the same scenario under both policies
-// and require the full telemetry snapshot JSON — every counter, gauge, and
-// modelled-time figure — to match byte for byte.
+// Cluster-level wall: without it nothing would catch a missed wake() or
+// rto_touched() hook.  Each scenario settles through `settle` — the scan
+// oracle's tick-by-tick loop, which checks the scheduler against a scan of
+// the whole fleet after every tick — and checks again after every call
+// that ticks inside the library (barrier, wait, collectives, BSP sync).
+// The checked run must also leave the same snapshot bytes as a plain run
+// settled by Cluster::run_until_quiescent(): checking perturbs nothing.
 
-std::string snapshot_json(SchedulerPolicy policy,
-                          const std::function<void(Cluster&)>& scenario,
-                          ClusterConfig cfg) {
-  cfg.scheduler = policy;
-  Cluster c(std::move(cfg));
-  scenario(c);
+using Settle = std::function<void(Cluster&)>;
+using Scenario = std::function<void(Cluster&, const Settle&)>;
+
+std::string snapshot_json(const ClusterConfig& cfg, const Scenario& scenario,
+                          const Settle& settle) {
+  Cluster c(cfg);
+  scenario(c, settle);
   return c.snapshot().to_json().dump();
 }
 
-void expect_policy_identical(ClusterConfig cfg,
-                             const std::function<void(Cluster&)>& scenario) {
-  const std::string lockstep =
-      snapshot_json(SchedulerPolicy::kLegacyLockstep, scenario, cfg);
-  const std::string event = snapshot_json(SchedulerPolicy::kEventDriven, scenario, cfg);
-  EXPECT_EQ(lockstep, event);
+void expect_scheduler_matches_scan(const ClusterConfig& cfg, const Scenario& scenario) {
+  const std::string checked = snapshot_json(cfg, scenario, &ScanOracle::run_until_quiescent);
+  // A scheduler that disagrees with the scan may never quiesce on its own.
+  if (::testing::Test::HasFailure()) return;
+  const std::string plain =
+      snapshot_json(cfg, scenario, [](Cluster& c) { c.run_until_quiescent(); });
+  EXPECT_EQ(checked, plain);
 }
 
 TEST(SchedulerEquivalence, UniformExchangeWithJitter) {
   ClusterConfig cfg;
   cfg.nodes = 8;
   cfg.network.jitter_us = 1.5;
-  expect_policy_identical(cfg, [](Cluster& c) {
+  expect_scheduler_matches_scan(cfg, [](Cluster& c, const Settle& settle) {
     for (int n = 0; n < 8; ++n) {
       for (int t = 0; t < 6; ++t) {
         (void)c.irecv(n, (n + 1) % 8, t);
         c.send(n, (n + 7) % 8, t, static_cast<std::uint64_t>(n * 10 + t));
+        EXPECT_TRUE(ScanOracle::check(c));
       }
     }
-    c.run_until_quiescent();
+    settle(c);
   });
 }
 
@@ -340,15 +317,15 @@ TEST(SchedulerEquivalence, FaultedReliabilityTraffic) {
   cfg.network.faults.dup_prob = 0.1;
   cfg.network.faults.corrupt_prob = 0.05;
   cfg.reliability.enabled = true;
-  expect_policy_identical(cfg, [](Cluster& c) {
-    std::vector<RecvHandle> hs;
+  expect_scheduler_matches_scan(cfg, [](Cluster& c, const Settle& settle) {
     for (int n = 1; n < 6; ++n) {
       for (int t = 0; t < 5; ++t) {
-        hs.push_back(c.irecv(0, n, t));
+        (void)c.irecv(0, n, t);
         c.send(n, 0, t, static_cast<std::uint64_t>(n * 100 + t));
+        EXPECT_TRUE(ScanOracle::check(c));
       }
     }
-    c.run_until_quiescent();
+    settle(c);
   });
 }
 
@@ -357,10 +334,11 @@ TEST(SchedulerEquivalence, RetryExhaustionAndFailures) {
   cfg.network.faults.drop_prob = 1.0;  // Every data packet lost, forever.
   cfg.reliability.enabled = true;
   cfg.reliability.max_attempts = 3;
-  expect_policy_identical(cfg, [](Cluster& c) {
+  expect_scheduler_matches_scan(cfg, [](Cluster& c, const Settle& settle) {
     c.send(0, 1, 1, 11);
     c.send(0, 1, 2, 22);
-    c.run_until_quiescent();
+    EXPECT_TRUE(ScanOracle::check(c));
+    settle(c);
     EXPECT_EQ(c.delivery_failures().size(), 2u);
   });
 }
@@ -372,12 +350,14 @@ TEST(SchedulerEquivalence, StrictSemanticsBarrier) {
   cfg.semantics.ordering = false;
   cfg.semantics.unexpected = false;
   cfg.semantics.partitions = 2;
-  expect_policy_identical(cfg, [](Cluster& c) {
+  expect_scheduler_matches_scan(cfg, [](Cluster& c, const Settle&) {
     for (int n = 1; n < 4; ++n) {
       (void)c.irecv(0, n, n);
       c.send(n, 0, n, static_cast<std::uint64_t>(n));
+      EXPECT_TRUE(ScanOracle::check(c));
     }
     c.barrier();
+    EXPECT_TRUE(ScanOracle::check(c));
   });
 }
 
@@ -385,27 +365,31 @@ TEST(SchedulerEquivalence, ShardedNodes) {
   ClusterConfig cfg;
   cfg.nodes = 4;
   cfg.shards_per_node = 4;
-  expect_policy_identical(cfg, [](Cluster& c) {
+  expect_scheduler_matches_scan(cfg, [](Cluster& c, const Settle& settle) {
     for (int src = 1; src < 4; ++src) {
       for (int t = 0; t < 8; ++t) {
         (void)c.irecv(0, src, t);
         c.send(src, 0, t, static_cast<std::uint64_t>(src * 10 + t));
+        EXPECT_TRUE(ScanOracle::check(c));
       }
     }
-    c.run_until_quiescent();
+    settle(c);
   });
 }
 
 TEST(SchedulerEquivalence, Collectives) {
   ClusterConfig cfg;
   cfg.nodes = 7;
-  expect_policy_identical(cfg, [](Cluster& c) {
+  expect_scheduler_matches_scan(cfg, [](Cluster& c, const Settle&) {
     Collectives coll(c);
     (void)coll.broadcast(2, 0xABC);
+    EXPECT_TRUE(ScanOracle::check(c));
     std::vector<std::uint64_t> contrib;
     for (int n = 0; n < 7; ++n) contrib.push_back(static_cast<std::uint64_t>(n + 1));
     (void)coll.allreduce_sum(contrib);
+    EXPECT_TRUE(ScanOracle::check(c));
     (void)coll.allgather(contrib);
+    EXPECT_TRUE(ScanOracle::check(c));
   });
 }
 
@@ -415,27 +399,52 @@ TEST(SchedulerEquivalence, BspSupersteps) {
   cfg.semantics.wildcards = false;
   cfg.semantics.ordering = false;
   cfg.semantics.partitions = 4;
-  expect_policy_identical(cfg, [](Cluster& c) {
+  expect_scheduler_matches_scan(cfg, [](Cluster& c, const Settle&) {
     BspSession bsp(c);
     for (int step = 0; step < 3; ++step) {
       for (int n = 0; n < 4; ++n) {
         (void)bsp.irecv(n, (n + 1) % 4, 0);
         bsp.send(n, (n + 3) % 4, 0, static_cast<std::uint64_t>(step * 10 + n));
       }
+      EXPECT_TRUE(ScanOracle::check(c));
       bsp.sync();
+      EXPECT_TRUE(ScanOracle::check(c));
     }
   });
 }
 
+// Messages that arrive before their receives: only irecv's wake() makes
+// node 0 runnable.  Node 2 holds a receive that never matches beside a
+// message it does not want (runnable but unmatchable) until cancel()
+// retires it through stepped().
+TEST(SchedulerEquivalence, LateReceivesAndCancel) {
+  ClusterConfig cfg;
+  cfg.nodes = 4;
+  expect_scheduler_matches_scan(cfg, [](Cluster& c, const Settle& settle) {
+    for (int n = 1; n < 4; ++n) c.send(n, 0, n, static_cast<std::uint64_t>(n));
+    c.send(1, 2, 99, 7);
+    settle(c);
+    std::vector<RecvHandle> hs;
+    for (int n = 1; n < 4; ++n) {
+      hs.push_back(c.irecv(0, n, n));
+      EXPECT_TRUE(ScanOracle::check(c));
+    }
+    const RecvHandle stray = c.irecv(2, 1, 5);
+    EXPECT_TRUE(ScanOracle::check(c));
+    settle(c);
+    EXPECT_TRUE(c.cancel(stray));
+    EXPECT_TRUE(ScanOracle::check(c));
+    for (const auto& h : hs) EXPECT_TRUE(c.result(h).has_value());
+  });
+}
+
 // ---------------------------------------------------------------------------
-// Scale smoke (also the CI ASan target): a 1k-node fleet under the event
-// scheduler, with only a small hot set active, must complete quickly and
-// never step the cold nodes.
+// Scale smoke (also the CI ASan target): a 1k-node fleet with only a small
+// hot set active must complete quickly and never step the cold nodes.
 
 TEST(SchedulerScale, ThousandNodeHotSetStaysSmall) {
   ClusterConfig cfg;
   cfg.nodes = 1000;
-  cfg.scheduler = SchedulerPolicy::kEventDriven;
   Cluster c(cfg);
   // 8 hot nodes exchange; 992 nodes never see traffic.
   std::vector<RecvHandle> hs;
@@ -454,24 +463,21 @@ TEST(SchedulerScale, ThousandNodeHotSetStaysSmall) {
             r.calls);  // Every engine step was a scheduled step.
 }
 
-TEST(SchedulerScale, ThousandNodeRingCompletesUnderBothPolicies) {
-  for (const auto policy :
-       {SchedulerPolicy::kLegacyLockstep, SchedulerPolicy::kEventDriven}) {
-    ClusterConfig cfg;
-    cfg.nodes = 1000;
-    cfg.scheduler = policy;
-    Cluster c(cfg);
-    std::vector<RecvHandle> hs;
-    for (int n = 0; n < 1000; ++n) {
-      hs.push_back(c.irecv(n, (n + 1) % 1000, 0));
-      c.send(n, (n + 999) % 1000, 0, static_cast<std::uint64_t>(n));
-    }
-    c.run_until_quiescent();
-    for (std::size_t i = 0; i < hs.size(); ++i) {
-      const auto r = c.result(hs[i]);
-      ASSERT_TRUE(r.has_value());
-      EXPECT_EQ(r->payload, static_cast<std::uint64_t>((i + 1) % 1000));
-    }
+TEST(SchedulerScale, ThousandNodeRingAgreesWithScanEveryTick) {
+  ClusterConfig cfg;
+  cfg.nodes = 1000;
+  Cluster c(cfg);
+  std::vector<RecvHandle> hs;
+  for (int n = 0; n < 1000; ++n) {
+    hs.push_back(c.irecv(n, (n + 1) % 1000, 0));
+    c.send(n, (n + 999) % 1000, 0, static_cast<std::uint64_t>(n));
+  }
+  EXPECT_TRUE(ScanOracle::check(c));
+  ScanOracle::run_until_quiescent(c);
+  for (std::size_t i = 0; i < hs.size(); ++i) {
+    const auto r = c.result(hs[i]);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r->payload, static_cast<std::uint64_t>((i + 1) % 1000));
   }
 }
 

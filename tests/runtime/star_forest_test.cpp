@@ -5,9 +5,8 @@
 // the dense collectives layer (one whole-communicator broadcast per edge,
 // applied in edge order), across
 //
-//   scheduler policies {lockstep, event} x shards {1, 2, 8} x host
-//   threads {1, 8} x every matcher algorithm (the six Table II semantics
-//   rows plus the pattern-table row),
+//   shards {1, 2, 8} x host threads {1, 8} x every matcher algorithm (the
+//   six Table II semantics rows plus the pattern-table row),
 //
 // plus a chaos leg where faults are confined to one neighborhood: the
 // faulted star's edges fail with typed failures while every disjoint
@@ -188,22 +187,18 @@ std::vector<std::pair<std::string, matching::SemanticsConfig>> semantics_axis() 
 // ---------------------------------------------------------------------------
 // The dense-oracle conformance wall.
 
-struct WallParam {
-  int semantics_index;
-  SchedulerPolicy scheduler;
-};
-
-std::string wall_name(const ::testing::TestParamInfo<WallParam>& info) {
-  return "row" + std::to_string(info.param.semantics_index) + "_" +
-         (info.param.scheduler == SchedulerPolicy::kEventDriven ? "event" : "lockstep");
+/// The parameter is the semantics_axis() row; the "_event" suffix names the
+/// event-driven scheduler the instances run under.
+std::string wall_name(const ::testing::TestParamInfo<int>& info) {
+  return "row" + std::to_string(info.param) + "_event";
 }
 
-class StarForestWall : public ::testing::TestWithParam<WallParam> {};
+class StarForestWall : public ::testing::TestWithParam<int> {};
 
 TEST_P(StarForestWall, ValueIdenticalToDenseOracleAcrossShardsAndThreads) {
   const auto axis = semantics_axis();
   const auto& [label, semantics] =
-      axis[static_cast<std::size_t>(GetParam().semantics_index)];
+      axis[static_cast<std::size_t>(GetParam())];
 
   for (const Scenario& sc : scenarios()) {
     const Outcome oracle = run_dense_oracle(sc);
@@ -214,7 +209,6 @@ TEST_P(StarForestWall, ValueIdenticalToDenseOracleAcrossShardsAndThreads) {
         ClusterConfig cfg;
         cfg.nodes = sc.nodes;
         cfg.semantics = semantics;
-        cfg.scheduler = GetParam().scheduler;
         cfg.shards_per_node = shards;
         cfg.policy = simt::ExecutionPolicy{threads};
         const Outcome got = run_star_forest(cfg, sc);
@@ -238,20 +232,7 @@ TEST_P(StarForestWall, ValueIdenticalToDenseOracleAcrossShardsAndThreads) {
 
 INSTANTIATE_TEST_SUITE_P(
     SemanticsBySchedulers, StarForestWall,
-    ::testing::Values(WallParam{0, SchedulerPolicy::kLegacyLockstep},
-                      WallParam{0, SchedulerPolicy::kEventDriven},
-                      WallParam{1, SchedulerPolicy::kLegacyLockstep},
-                      WallParam{1, SchedulerPolicy::kEventDriven},
-                      WallParam{2, SchedulerPolicy::kLegacyLockstep},
-                      WallParam{2, SchedulerPolicy::kEventDriven},
-                      WallParam{3, SchedulerPolicy::kLegacyLockstep},
-                      WallParam{3, SchedulerPolicy::kEventDriven},
-                      WallParam{4, SchedulerPolicy::kLegacyLockstep},
-                      WallParam{4, SchedulerPolicy::kEventDriven},
-                      WallParam{5, SchedulerPolicy::kLegacyLockstep},
-                      WallParam{5, SchedulerPolicy::kEventDriven},
-                      WallParam{6, SchedulerPolicy::kLegacyLockstep},
-                      WallParam{6, SchedulerPolicy::kEventDriven}),
+    ::testing::Range(0, 7),
     wall_name);
 
 TEST(StarForestWallAxis, CoversEveryMatcherRow) {
@@ -465,68 +446,64 @@ TEST(StarForestChaos, FaultsInOneNeighborhoodLeaveDisjointNeighborhoodsIntact) {
   const Scenario sc = two_neighborhoods();
   const Outcome oracle = run_dense_oracle(sc);
 
-  for (const SchedulerPolicy policy :
-       {SchedulerPolicy::kLegacyLockstep, SchedulerPolicy::kEventDriven}) {
-    ClusterConfig cfg = faulted_neighborhood_cfg();
-    cfg.scheduler = policy;
-    Cluster cluster(cfg);
-    StarForestConfig sf_cfg;
-    sf_cfg.on_incomplete = StarForestConfig::OnIncomplete::kPartial;
-    StarForest sf(cluster, sc.edges, sf_cfg);
+  ClusterConfig cfg = faulted_neighborhood_cfg();
+  Cluster cluster(cfg);
+  StarForestConfig sf_cfg;
+  sf_cfg.on_incomplete = StarForestConfig::OnIncomplete::kPartial;
+  StarForest sf(cluster, sc.edges, sf_cfg);
 
-    SlotMap leaves;
-    sf.bcast([](int n, std::int32_t s) { return seed_root(n, s); },
-             [&](int n, std::int32_t s, std::uint64_t v) { leaves[{n, s}] = v; });
+  SlotMap leaves;
+  sf.bcast([](int n, std::int32_t s) { return seed_root(n, s); },
+           [&](int n, std::int32_t s, std::uint64_t v) { leaves[{n, s}] = v; });
 
-    // Every neighborhood-A edge failed; every neighborhood-B edge holds
-    // the oracle's value.
-    const std::vector<int> expected_failures = {0, 1, 2};
-    EXPECT_EQ(std::vector<int>(sf.last_failures().begin(), sf.last_failures().end()),
-              expected_failures);
-    for (int l = 1; l <= 3; ++l) {
-      EXPECT_FALSE(leaves.contains({l, 0})) << "faulted leaf " << l << " stored";
-    }
-    for (int l = 5; l <= 7; ++l) {
-      EXPECT_EQ(leaves.at({l, 0}), oracle.bcast_leaves.at({l, 0})) << "leaf " << l;
-    }
+  // Every neighborhood-A edge failed; every neighborhood-B edge holds
+  // the oracle's value.
+  const std::vector<int> expected_failures = {0, 1, 2};
+  EXPECT_EQ(std::vector<int>(sf.last_failures().begin(), sf.last_failures().end()),
+            expected_failures);
+  for (int l = 1; l <= 3; ++l) {
+    EXPECT_FALSE(leaves.contains({l, 0})) << "faulted leaf " << l << " stored";
+  }
+  for (int l = 5; l <= 7; ++l) {
+    EXPECT_EQ(leaves.at({l, 0}), oracle.bcast_leaves.at({l, 0})) << "leaf " << l;
+  }
 
-    // The failures are typed, recorded, and confined to neighborhood A.
-    ASSERT_FALSE(cluster.delivery_failures().empty());
-    for (const DeliveryFailure& f : cluster.delivery_failures()) {
-      EXPECT_LE(f.from, 3);
-      EXPECT_LE(f.to, 3);
-    }
+  // The failures are typed, recorded, and confined to neighborhood A.
+  ASSERT_FALSE(cluster.delivery_failures().empty());
+  for (const DeliveryFailure& f : cluster.delivery_failures()) {
+    EXPECT_LE(f.from, 3);
+    EXPECT_LE(f.to, 3);
+  }
 
-    // Reduce in the opposite direction: leaves -> roots.  Root 0 keeps its
-    // seed (nothing arrived); root 4 combines exactly the oracle's way.
-    SlotMap acc;
-    sf.reduce([](int n, std::int32_t s) { return seed_leaf(n, s); },
-              [&](int n, std::int32_t s) { return slot_or_seed(acc, n, s); },
-              [&](int n, std::int32_t s, std::uint64_t v) { acc[{n, s}] = v; },
-              chain_op);
-    EXPECT_EQ(sf.last_failures().size(), 3u);
-    for (int l = 1; l <= 3; ++l) EXPECT_FALSE(acc.contains({0, l}));
-    for (int l = 5; l <= 7; ++l) {
-      EXPECT_EQ(acc.at({4, l}), oracle.reduced_roots.at({4, l})) << "root slot " << l;
-    }
+  // Reduce in the opposite direction: leaves -> roots.  Root 0 keeps its
+  // seed (nothing arrived); root 4 combines exactly the oracle's way.
+  SlotMap acc;
+  sf.reduce([](int n, std::int32_t s) { return seed_leaf(n, s); },
+            [&](int n, std::int32_t s) { return slot_or_seed(acc, n, s); },
+            [&](int n, std::int32_t s, std::uint64_t v) { acc[{n, s}] = v; },
+            chain_op);
+  EXPECT_EQ(sf.last_failures().size(), 3u);
+  for (int l = 1; l <= 3; ++l) EXPECT_FALSE(acc.contains({0, l}));
+  for (int l = 5; l <= 7; ++l) {
+    EXPECT_EQ(acc.at({4, l}), oracle.reduced_roots.at({4, l})) << "root slot " << l;
+  }
 
-    // The whole fleet stayed live: a fresh op on neighborhood B alone
-    // completes with no new failures.
-    const std::size_t failures_before = cluster.delivery_failures().size();
-    Scenario b_only{"b_only", 8, {}};
-    for (int l = 5; l <= 7; ++l) {
-      b_only.edges.push_back({.root = 4, .root_slot = l, .leaf = l, .leaf_slot = 0});
-    }
-    StarForestConfig b_cfg;
-    b_cfg.comm = 0x7D;  // Its own communicator, away from the faulted forest.
-    StarForest sf_b(cluster, b_only.edges, b_cfg);
-    SlotMap b_leaves;
-    sf_b.bcast([](int n, std::int32_t s) { return seed_root(n, s); },
-               [&](int n, std::int32_t s, std::uint64_t v) { b_leaves[{n, s}] = v; });
-    EXPECT_EQ(cluster.delivery_failures().size(), failures_before);
-    for (int l = 5; l <= 7; ++l) {
-      EXPECT_EQ(b_leaves.at({l, 0}), seed_root(4, l));
-    }
+  // The whole fleet stayed live: a fresh op on neighborhood B alone
+  // completes with no new failures.
+  const std::size_t failures_before = cluster.delivery_failures().size();
+  Scenario b_only{"b_only", 8, {}};
+  for (int l = 5; l <= 7; ++l) {
+    b_only.edges.push_back({.root = 4, .root_slot = l, .leaf = l, .leaf_slot = 0});
+  }
+  StarForestConfig b_cfg;
+  b_cfg.comm = 0x7D;  // Its own communicator, away from the faulted forest.
+  StarForest sf_b(cluster, b_only.edges, b_cfg);
+  SlotMap b_leaves;
+  sf_b.bcast([](int n, std::int32_t s) { return seed_root(n, s); },
+             [&](int n, std::int32_t s, std::uint64_t v) { b_leaves[{n, s}] = v; });
+  EXPECT_EQ(cluster.delivery_failures().size(), failures_before);
+  for (int l = 5; l <= 7; ++l) {
+    EXPECT_EQ(b_leaves.at({l, 0}), seed_root(4, l));
   }
 }
 

@@ -5,8 +5,7 @@
 //   * streams=1 is today's runtime, bit for bit: a cluster pinned to the
 //     default stream and driven through the stream-qualified API produces
 //     byte-identical telemetry snapshots to the unqualified API, across
-//     every Table II row x both schedulers x shards {1,2,8} x threads
-//     {1,8};
+//     every Table II row x shards {1,2,8} x threads {1,8};
 //   * per-stream FIFO: within one stream, ordered semantics deliver in
 //     send order, exactly as a serialized single-stream oracle does;
 //   * cross-stream relaxation: a retransmit stall on one stream never
@@ -101,29 +100,23 @@ std::string run_stream_qualified(ClusterConfig cfg, const std::vector<Flow>& flo
 }
 
 TEST(StreamWall, SingleStreamIsBitIdenticalToUnqualifiedApi) {
-  // The tentpole identity: Table II rows x schedulers x shards x threads.
+  // The tentpole identity: Table II rows x shards x threads.
   // Every cell compares full telemetry snapshots (counters, gauges,
   // histograms, matcher totals) serialized to JSON — byte equality.
   const auto flows = wall_traffic(/*nodes=*/4, /*flows=*/24);
   for (const auto& row : matching::table2_rows()) {
-    for (const SchedulerPolicy sched :
-         {SchedulerPolicy::kEventDriven, SchedulerPolicy::kLegacyLockstep}) {
-      for (const int shards : {1, 2, 8}) {
-        for (const int threads : {1, 8}) {
-          ClusterConfig cfg;
-          cfg.nodes = 4;
-          cfg.semantics = row;
-          cfg.policy = simt::ExecutionPolicy{threads};
-          cfg.shards_per_node = shards;
-          cfg.scheduler = sched;
-          const std::string where = matching::describe(row) +
-                                    " sched=" + std::string(to_string(sched)) +
-                                    " shards=" + std::to_string(shards) +
-                                    " threads=" + std::to_string(threads);
-          EXPECT_EQ(run_stream_qualified(cfg, flows), run_unqualified(cfg, flows))
-              << where;
-          if (::testing::Test::HasFailure()) return;
-        }
+    for (const int shards : {1, 2, 8}) {
+      for (const int threads : {1, 8}) {
+        ClusterConfig cfg;
+        cfg.nodes = 4;
+        cfg.semantics = row;
+        cfg.policy = simt::ExecutionPolicy{threads};
+        cfg.shards_per_node = shards;
+        const std::string where = matching::describe(row) +
+                                  " shards=" + std::to_string(shards) +
+                                  " threads=" + std::to_string(threads);
+        EXPECT_EQ(run_stream_qualified(cfg, flows), run_unqualified(cfg, flows)) << where;
+        if (::testing::Test::HasFailure()) return;
       }
     }
   }

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <iterator>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -80,6 +82,39 @@ TEST(ThreadPool, SharedPoolIsUsable) {
   ThreadPool::shared().run_indexed(32, 0, [&](std::size_t) { done.fetch_add(1); });
   EXPECT_EQ(done.load(), 32u);
   EXPECT_GE(ThreadPool::shared().workers(), 1);
+}
+
+/// Threads in this process (Linux /proc), or -1 where that is unavailable.
+int live_threads() {
+  std::error_code ec;
+  const std::filesystem::directory_iterator tasks("/proc/self/task", ec);
+  if (ec) return -1;
+  return static_cast<int>(std::distance(tasks, std::filesystem::directory_iterator{}));
+}
+
+// A pool whose every launch is serial must never start a worker; the first
+// launch that fans out starts them all, and later launches reuse them.
+TEST(ThreadPool, WorkersStartOnFirstParallelRun) {
+  const int before = live_threads();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/task on this platform";
+  ThreadPool pool(3);
+  std::atomic<std::size_t> done{0};
+  pool.run_indexed(64, 1, [&](std::size_t) { done.fetch_add(1); });
+  pool.run_indexed(1, 8, [&](std::size_t) { done.fetch_add(1); });  // One index: serial.
+  EXPECT_EQ(live_threads(), before) << "serial launches started workers";
+  pool.run_indexed(64, 4, [&](std::size_t) { done.fetch_add(1); });
+  EXPECT_EQ(live_threads(), before + 3);
+  pool.run_indexed(64, 4, [&](std::size_t) { done.fetch_add(1); });
+  EXPECT_EQ(live_threads(), before + 3) << "workers must be reused, not restarted";
+  EXPECT_EQ(done.load(), 64u + 1u + 64u + 64u);
+  EXPECT_EQ(pool.workers(), 3);
+}
+
+TEST(ThreadPool, UnusedPoolShutsDownCleanly) {
+  const int before = live_threads();
+  { const ThreadPool pool(4); }
+  if (before < 0) GTEST_SKIP() << "no /proc/self/task on this platform";
+  EXPECT_EQ(live_threads(), before);
 }
 
 }  // namespace
