@@ -16,8 +16,16 @@ Headlines are derived from rows and are ignored here.
 
 Exit codes: 0 ok, 1 regression found, 2 malformed input/usage.
 
+``--exact`` turns the gate into an identity check: every row present in both
+reports must carry the same ``matches_per_second``, bit for bit, in either
+direction.  The modelled rates are deterministic and fast-mode rows are
+value-identical to full-run rows, so a change that claims to leave the model
+untouched (a host-side speed-up, a refactor) proves it here.
+
 ``--selftest`` verifies the gate itself: the baseline must pass against an
-identical copy and must FAIL against a copy with every rate degraded 20%.
+identical copy and must FAIL against a copy with every rate degraded 20%;
+in exact mode it must also FAIL against a copy with a single rate moved by
+one ulp.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 
 RATE_FIELD = "matches_per_second"
@@ -51,8 +60,10 @@ def describe(key: tuple) -> str:
     return " ".join(f"{k}={v}" for k, v in key)
 
 
-def compare(baseline: dict, fresh: dict, tolerance: float, out=sys.stdout) -> bool:
-    """Print the per-row delta table; return True when no row regressed."""
+def compare(baseline: dict, fresh: dict, tolerance: float, out=sys.stdout,
+            exact: bool = False) -> bool:
+    """Print the per-row delta table; return True when no row regressed (in
+    exact mode: when no shared row's rate differs at all)."""
     if baseline.get("schema_version") != 1 or fresh.get("schema_version") != 1:
         raise ValueError("expected schema_version 1 in both reports")
 
@@ -78,7 +89,7 @@ def compare(baseline: dict, fresh: dict, tolerance: float, out=sys.stdout) -> bo
             compared += 1
             fresh_rate = fresh_rows[key]
             delta = (fresh_rate - base_rate) / base_rate if base_rate != 0.0 else 0.0
-            regressed = delta < -tolerance
+            regressed = fresh_rate != base_rate if exact else delta < -tolerance
             ok &= not regressed
             status = "FAIL" if regressed else "ok"
             print(f"{status:<8} {base_rate:>14.3e} {fresh_rate:>14.3e} "
@@ -88,8 +99,9 @@ def compare(baseline: dict, fresh: dict, tolerance: float, out=sys.stdout) -> bo
                 print(f"{'new':<8} {'—':>14} {fresh_rows[key]:>14.3e} {'—':>8}  "
                       f"{describe(key)} (not in baseline)", file=out)
 
+    gate = "exact" if exact else f"tolerance {tolerance:.0%}"
     print(f"\ncompared {compared} rows, skipped {skipped}; "
-          f"tolerance {tolerance:.0%} -> {'OK' if ok else 'REGRESSION'}", file=out)
+          f"{gate} -> {'OK' if ok else 'REGRESSION'}", file=out)
     if compared == 0:
         raise ValueError("no rows compared — fresh report shares no rows with baseline")
     return ok
@@ -98,9 +110,12 @@ def compare(baseline: dict, fresh: dict, tolerance: float, out=sys.stdout) -> bo
 def selftest(baseline: dict, tolerance: float) -> int:
     import io
 
-    if not compare(baseline, copy.deepcopy(baseline), tolerance, out=io.StringIO()):
-        print("selftest FAILED: baseline does not pass against itself")
-        return 1
+    for exact in (False, True):
+        if not compare(baseline, copy.deepcopy(baseline), tolerance, out=io.StringIO(),
+                       exact=exact):
+            print(f"selftest FAILED: baseline does not pass against itself "
+                  f"(exact={exact})")
+            return 1
 
     degraded = copy.deepcopy(baseline)
     for report in degraded["benches"].values():
@@ -110,7 +125,16 @@ def selftest(baseline: dict, tolerance: float) -> int:
         print("selftest FAILED: 20% degradation not caught")
         return 1
 
-    print("selftest ok: identical report passes, 20% degradation is caught")
+    nudged = copy.deepcopy(baseline)
+    row = next(row for report in nudged["benches"].values()
+               for row in report.get("rows", []) if float(row[RATE_FIELD]) > 0.0)
+    row[RATE_FIELD] = math.nextafter(float(row[RATE_FIELD]), math.inf)
+    if compare(baseline, nudged, tolerance, out=io.StringIO(), exact=True):
+        print("selftest FAILED: exact gate misses a 1-ulp change to one rate")
+        return 1
+
+    print("selftest ok: identical report passes, 20% degradation is caught, "
+          "exact mode catches a 1-ulp change")
     return 0
 
 
@@ -121,6 +145,8 @@ def main() -> int:
     parser.add_argument("--fresh", help="freshly generated report to check")
     parser.add_argument("--tolerance", type=float, default=0.15,
                         help="max fractional rate drop per row (default 0.15)")
+    parser.add_argument("--exact", action="store_true",
+                        help="fail on any rate difference in rows both reports share")
     parser.add_argument("--selftest", action="store_true",
                         help="verify the gate catches a synthetic 20%% regression")
     args = parser.parse_args()
@@ -134,7 +160,7 @@ def main() -> int:
             parser.error("--fresh is required unless --selftest")
         with open(args.fresh) as f:
             fresh = json.load(f)
-        return 0 if compare(baseline, fresh, args.tolerance) else 1
+        return 0 if compare(baseline, fresh, args.tolerance, exact=args.exact) else 1
     except (OSError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

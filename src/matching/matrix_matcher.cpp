@@ -1,12 +1,13 @@
 #include "matching/matrix_matcher.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <stdexcept>
 #include <vector>
 
 #include "matching/compaction.hpp"
 #include "matching/workspace.hpp"
-#include "simt/cta.hpp"
 #include "simt/timing_model.hpp"
 #include "util/bits.hpp"
 
@@ -15,67 +16,123 @@ namespace {
 
 // The kernels read only src and tag of each element ("Instead of reading
 // the entire message or receive request, only src and tag are being read",
-// Algorithm 1): one 64-bit scan_word() per element (envelope.hpp),
-// wildcards representable as 0xFFFFFFFF halves.
-[[nodiscard]] Rank word_src(std::uint64_t w) noexcept {
-  return static_cast<Rank>(static_cast<std::uint32_t>(w >> 32));
+// Algorithm 1): one 64-bit scan_word() per element (envelope.hpp), wildcards
+// representable as all-ones halves.  A wildcard half accepts anything, so a
+// receive word accepts a message word exactly when they agree on the bits
+// of the receive's care mask.
+constexpr std::uint64_t kSrcBits = 0xFFFF'FFFF'0000'0000ull;
+constexpr std::uint64_t kTagBits = 0x0000'0000'FFFF'FFFFull;
+
+[[nodiscard]] constexpr std::uint64_t care_mask(std::uint64_t recv) noexcept {
+  std::uint64_t care = ~std::uint64_t{0};
+  if ((recv & kSrcBits) == (scan_word(kAnySource, 0) & kSrcBits)) care &= ~kSrcBits;
+  if ((recv & kTagBits) == (scan_word(0, kAnyTag) & kTagBits)) care &= ~kTagBits;
+  return care;
 }
 
-[[nodiscard]] Tag word_tag(std::uint64_t w) noexcept {
-  return static_cast<Tag>(static_cast<std::uint32_t>(w));
-}
+/// The message side of one window as Algorithm 2 sees it: the message
+/// words plus a bitmap of the messages not yet consumed (every reduce
+/// thread's row_mask, end to end).  take() is one reduce step: the lowest
+/// bidding row is the lowest warp holding an eligible match and ffs picks
+/// its lowest lane, so the winner is the lowest-index live message the
+/// receive accepts — for every warp width.
+///
+/// Wildcard receives scan the live blocks in order.  Exact receives, once a
+/// window has seen enough of them to pay for it, use an index: an
+/// open-addressed table from word to the first message of its chain, which
+/// links the messages carrying that word in ascending order.  Lookups
+/// advance a chain's head past consumed messages as they go.
+class WindowScan {
+ public:
+  static constexpr std::size_t kMaxMsgs = std::size_t{simt::kWarpSize} * simt::kWarpSize;
 
-/// Does the receive word accept the message word (wildcards on the receive
-/// side only)?
-[[nodiscard]] bool word_matches(std::uint64_t recv, std::uint64_t msg) noexcept {
-  const Rank rsrc = word_src(recv);
-  const Tag rtag = word_tag(recv);
-  return (rsrc == kAnySource || rsrc == word_src(msg)) &&
-         (rtag == kAnyTag || rtag == word_tag(msg));
-}
+  explicit WindowScan(std::span<const std::uint64_t> msgs) noexcept
+      : msgs_(msgs), blocks_((msgs.size() + 63) / 64) {
+    assert(msgs.size() <= kMaxMsgs);
+    std::fill_n(live_, blocks_, ~std::uint64_t{0});
+    if (msgs.size() % 64 != 0) live_[blocks_ - 1] >>= 64 - msgs.size() % 64;
+  }
 
-/// Host-side prefetch distance (elements) for the streaming reads over the
-/// queues' contiguous 64-bit word lanes.  The scan loops walk the lane
-/// strictly forward in column-chunked blocks, so pulling the line a few
-/// iterations ahead hides the miss latency of the next block.  Purely a
-/// host cache hint: the modelled EventCounters never change, so stats,
-/// telemetry, and BENCH rows stay bit-identical (ROADMAP follow-on from
-/// the SoA-lane PR).
-constexpr std::size_t kWordPrefetchDistance = 16;
+  /// Consume and return the earliest live message `recv` accepts; kNoMatch
+  /// if there is none.
+  [[nodiscard]] std::int32_t take(std::uint64_t recv) noexcept {
+    const std::uint64_t care = care_mask(recv);
+    if (care == ~std::uint64_t{0} && blocks_ > 1 && ++exact_seen_ > kScansBeforeIndex) {
+      if (exact_seen_ == kScansBeforeIndex + 1) build_index();
+      std::int16_t& head = head_[slot_of(recv)];
+      while (head >= 0 && !live(static_cast<std::size_t>(head))) head = next_[head];
+      if (head < 0) return kNoMatch;
+      const auto i = static_cast<std::size_t>(head);
+      head = next_[i];
+      return consume(i);
+    }
+    const std::uint64_t want = recv & care;
+    for (std::size_t b = first_; b < blocks_; ++b) {
+      if (live_[b] == 0) continue;
+      const std::uint64_t* words = msgs_.data() + b * 64;
+      const std::size_t n = std::min<std::size_t>(64, msgs_.size() - b * 64);
+      std::uint64_t hits = 0;
+      for (std::size_t k = 0; k < n; ++k) {
+        hits |= static_cast<std::uint64_t>((words[k] & care) == want) << k;
+      }
+      hits &= live_[b];
+      if (hits != 0) return consume(b * 64 + static_cast<std::size_t>(std::countr_zero(hits)));
+    }
+    return kNoMatch;
+  }
 
-inline void prefetch_word(std::span<const std::uint64_t> words, std::size_t at) noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-  if (at < words.size()) __builtin_prefetch(words.data() + at, /*rw=*/0, /*locality=*/1);
-#else
-  (void)words;
-  (void)at;
-#endif
-}
+ private:
+  static constexpr int kScansBeforeIndex = 8;  ///< Exact receives scanned first.
+  static constexpr std::int16_t kEmpty = -1;   ///< Free slot.
+  static constexpr std::int16_t kEnd = -2;     ///< Chain end; its slot stays taken.
 
-[[nodiscard]] simt::EventCounters delta(const simt::EventCounters& now,
-                                        const simt::EventCounters& before) noexcept {
-  simt::EventCounters d = now;
-  d.alu_instructions -= before.alu_instructions;
-  d.ballot_instructions -= before.ballot_instructions;
-  d.shuffle_instructions -= before.shuffle_instructions;
-  d.branch_instructions -= before.branch_instructions;
-  d.divergent_branches -= before.divergent_branches;
-  d.shared_transactions -= before.shared_transactions;
-  d.global_transactions -= before.global_transactions;
-  d.global_load_requests -= before.global_load_requests;
-  d.global_store_requests -= before.global_store_requests;
-  d.atomic_operations -= before.atomic_operations;
-  d.stall_cycles -= before.stall_cycles;
-  d.warp_syncs -= before.warp_syncs;
-  d.cta_barriers -= before.cta_barriers;
-  return d;
-}
+  [[nodiscard]] bool live(std::size_t i) const noexcept {
+    return ((live_[i / 64] >> (i % 64)) & 1) != 0;
+  }
+
+  std::int32_t consume(std::size_t i) noexcept {
+    live_[i / 64] &= ~(std::uint64_t{1} << (i % 64));
+    while (first_ < blocks_ && live_[first_] == 0) ++first_;
+    return static_cast<std::int32_t>(i);
+  }
+
+  [[nodiscard]] std::size_t slot_of(std::uint64_t word) const noexcept {
+    auto s = static_cast<std::size_t>((word * 0x9E37'79B9'7F4A'7C15ull) >> 32) & slot_mask_;
+    while (head_[s] != kEmpty && key_[s] != word) s = (s + 1) & slot_mask_;
+    return s;
+  }
+
+  void build_index() noexcept {
+    std::size_t slots = 128;
+    while (slots < 2 * msgs_.size()) slots *= 2;
+    slot_mask_ = slots - 1;
+    std::fill_n(head_, slots, kEmpty);
+    for (std::size_t i = msgs_.size(); i-- > 0;) {  // Back to front: chains ascend.
+      const std::size_t s = slot_of(msgs_[i]);
+      next_[i] = head_[s] == kEmpty ? kEnd : head_[s];
+      key_[s] = msgs_[i];
+      head_[s] = static_cast<std::int16_t>(i);
+    }
+  }
+
+  std::span<const std::uint64_t> msgs_;
+  std::size_t blocks_;
+  std::size_t first_ = 0;  ///< Lowest block that may still hold a live message.
+  std::uint64_t live_[kMaxMsgs / 64];
+  int exact_seen_ = 0;
+  std::size_t slot_mask_ = 0;
+  std::uint64_t key_[2 * kMaxMsgs];
+  std::int16_t head_[2 * kMaxMsgs];
+  std::int16_t next_[kMaxMsgs];
+};
 
 }  // namespace
 
 MatrixMatcher::MatrixMatcher(const simt::DeviceSpec& spec, Options opt)
     : spec_(&spec), opt_(opt) {
-  opt_.max_warps = std::clamp(opt_.max_warps, 1, spec.max_warps_per_cta);
+  // The reduce warp owns one vote row per thread: at most 32 scan warps.
+  opt_.max_warps =
+      std::clamp(opt_.max_warps, 1, std::min(spec.max_warps_per_cta, simt::kWarpSize));
   opt_.column_chunk = std::max(1, opt_.column_chunk);
   opt_.request_window = std::max(1, opt_.request_window);
   opt_.warp_width = std::clamp(opt_.warp_width, 1, simt::kWarpSize);
@@ -107,12 +164,12 @@ void MatrixMatcher::match_window_into(std::span<const Message> msgs,
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     req_words[i] = scan_word(reqs[i].env);
   }
-  match_words_into(msg_words, req_words, mws, out);
+  match_words_into(msg_words, req_words, out);
 }
 
 void MatrixMatcher::match_words_into(std::span<const std::uint64_t> all_msg_words,
                                      std::span<const std::uint64_t> all_req_words,
-                                     MatrixWorkspace& mws, SimtMatchStats& out) const {
+                                     SimtMatchStats& out) const {
   out.reset(all_req_words.size());
   out.iterations = 1;
 
@@ -122,50 +179,42 @@ void MatrixMatcher::match_words_into(std::span<const std::uint64_t> all_msg_word
       std::min(all_req_words.size(), static_cast<std::size_t>(opt_.request_window));
   if (n_msgs == 0 || n_reqs == 0) return;
 
-  // Device-resident element words (global memory) — the queue's SoA lane or
-  // the gather wrapper's scratch, either way one contiguous 64-bit array.
-  const auto msg_words = all_msg_words.subspan(0, n_msgs);
   const auto req_words = all_req_words.subspan(0, n_reqs);
+  WindowScan scan(all_msg_words.subspan(0, n_msgs));
+  const auto match_columns = [&](std::size_t begin, std::size_t cols) {
+    std::uint64_t matched = 0;
+    for (std::size_t c = begin; c < begin + cols; ++c) {
+      const std::int32_t m = scan.take(req_words[c]);
+      out.result.request_match[c] = m;
+      matched += (m != kNoMatch);
+    }
+    return matched;
+  };
 
   const simt::TimingModel model(*spec_);
-
   const auto width = static_cast<std::size_t>(opt_.warp_width);
-  if (n_msgs <= width) {
-    // ----- Single-warp fast path: no vote matrix ("queues with less than
-    // 64 elements are scanned by a single warp and no matrix is generated").
-    simt::CtaContext& cta = detail::reuse_cta(mws.scan_cta, 0, 1, spec_->shared_mem_per_sm);
-    auto& warp = cta.warp(0);
-    warp.set_active(util::low_mask(static_cast<int>(n_msgs)));
+  const auto stall = static_cast<std::uint64_t>(opt_.reduce_chain_cycles);
 
-    // Each lane loads its message word once (coalesced).
-    const auto msg_w = warp.load_global(std::span<const std::uint64_t>(msg_words),
-                                        simt::LaneSize::iota());
-    std::uint32_t consumed = 0;
-    for (std::size_t col = 0; col < n_reqs; ++col) {
-      prefetch_word(req_words, col + kWordPrefetchDistance);
-      const std::uint64_t req_w =
-          warp.load_global_broadcast(std::span<const std::uint64_t>(req_words), col);
-      simt::LaneBool pred;
-      warp.lanes([&](int lane) { pred[lane] = word_matches(req_w, msg_w[lane]); },
-                 /*instructions=*/3);
-      const std::uint32_t vote = warp.ballot(pred);
-      const std::uint32_t eligible = vote & ~consumed;
-      warp.count_alu(1);
-      warp.count_branch(eligible != 0);
-      warp.count_stall(static_cast<std::uint64_t>(opt_.reduce_chain_cycles));
-      if (eligible != 0) {
-        const int pos = util::ffs(eligible) - 1;
-        consumed = util::set_bit(consumed, pos);
-        warp.count_alu(2);
-        warp.counters().global_store_requests += 1;
-        warp.counters().global_transactions += 1;
-        out.result.request_match[col] = pos;
-      }
-    }
-    out.scan_events = cta.counters();
+  if (n_msgs <= width) {
+    // ----- Single-warp fast path ("queues with less than 64 elements are
+    // scanned by a single warp and no matrix is generated"): one coalesced
+    // load of the message words, then per column a broadcast load, the
+    // 3-instruction compare, ballot, eligibility mask and branch, plus the
+    // ffs/mask update/store of a match.  A match counts as a divergent
+    // branch (the branch is charged as count_branch(eligible != 0)).
+    const std::uint64_t cols = n_reqs;
+    const std::uint64_t matched = match_columns(0, n_reqs);
+    simt::EventCounters& e = out.scan_events;
+    e.global_load_requests = 1 + cols;
+    e.global_transactions = util::ceil_div(n_msgs, 16) + cols + matched;
+    e.alu_instructions = 4 * cols + 2 * matched;
+    e.ballot_instructions = cols;
+    e.branch_instructions = cols;
+    e.divergent_branches = matched;
+    e.stall_cycles = stall * cols;
+    e.global_store_requests = matched;
     out.warps_used = 1;
-    out.cycles = model.cycles(out.scan_events, /*resident_warps=*/1) +
-                 opt_.iteration_overhead_cycles;
+    out.cycles = model.cycles(e, /*resident_warps=*/1) + opt_.iteration_overhead_cycles;
     out.seconds = model.seconds_from_cycles(out.cycles);
     return;
   }
@@ -173,133 +222,68 @@ void MatrixMatcher::match_words_into(std::span<const std::uint64_t> all_msg_word
   // ----- General path: multi-warp scan (Algorithm 1) + single-warp reduce
   // (Algorithm 2), chunked over columns so the vote matrix chunk fits in
   // shared memory and the two phases can be pipelined.
-  const int warps_used = static_cast<int>(util::ceil_div(n_msgs, width));
-  const std::size_t chunk_cols = static_cast<std::size_t>(opt_.column_chunk);
-
-  simt::CtaContext& scan_cta =
-      detail::reuse_cta(mws.scan_cta, 0, warps_used, spec_->shared_mem_per_sm);
-  simt::CtaContext& reduce_cta =
-      detail::reuse_cta(mws.reduce_cta, 1, 1, spec_->shared_mem_per_sm);
-  auto vote_chunk = scan_cta.alloc_shared<std::uint32_t>(
-      static_cast<std::size_t>(warps_used) * chunk_cols);
-
-  // Per-warp message registers, loaded once per iteration.
-  auto& msg_regs = mws.msg_regs;
-  msg_regs.resize(static_cast<std::size_t>(warps_used));
-  auto& warp_active = mws.warp_active;
-  warp_active.resize(static_cast<std::size_t>(warps_used));
-  for (int w = 0; w < warps_used; ++w) {
-    auto& warp = scan_cta.warp(w);
-    const std::size_t base = static_cast<std::size_t>(w) * width;
-    const int lanes_live = static_cast<int>(std::min(width, n_msgs - base));
-    warp_active[static_cast<std::size_t>(w)] = util::low_mask(lanes_live);
-    warp.set_active(warp_active[static_cast<std::size_t>(w)]);
-    simt::LaneSize idx;
-    for (int lane = 0; lane < lanes_live; ++lane) idx[lane] = base + static_cast<std::size_t>(lane);
-    msg_regs[static_cast<std::size_t>(w)] =
-        warp.load_global(std::span<const std::uint64_t>(msg_words), idx);
+  const auto warps = util::ceil_div(n_msgs, width);
+  const auto chunk_cols = static_cast<std::size_t>(opt_.column_chunk);
+  if (warps * chunk_cols * sizeof(std::uint32_t) > spec_->shared_mem_per_sm) {
+    throw std::runtime_error("CTA shared memory budget exceeded");
   }
+  // With variable warp sizing, logical warps sharing a physical warp share
+  // its L1: only the leading slice of each physical warp pays the global
+  // broadcast load, the others a shared-memory access.
+  const auto leading = util::ceil_div(warps, simt::kWarpSize / width);
 
-  // Reduce state persisting across chunks: thread t owns vote row t and a
-  // mask of its not-yet-consumed messages (Algorithm 2 line 1).
-  simt::LaneU32 row_mask(0xFFFF'FFFFu);
+  // Per-warp message registers (Algorithm 1's one load per thread): one
+  // request per warp, one transaction per 128-byte segment its lanes span.
+  simt::EventCounters scan_delta;
+  for (std::size_t base = 0; base < n_msgs; base += width) {
+    const std::size_t last = std::min(base + width, n_msgs) - 1;
+    scan_delta.global_load_requests += 1;
+    scan_delta.global_transactions += last / 16 - base / 16 + 1;
+  }
 
   double scan_finish = 0.0;
   double reduce_finish = 0.0;
   double total_scan_cycles = 0.0;
   double total_reduce_cycles = 0.0;
 
-  const bool pipelined = opt_.pipelined && warps_used < opt_.max_warps;
-  const int scan_resident = warps_used;
-  const int reduce_resident = pipelined ? warps_used + 1 : 1;
-
-  simt::EventCounters scan_before;   // zero
-  simt::EventCounters reduce_before; // zero
+  const bool pipelined = opt_.pipelined && static_cast<int>(warps) < opt_.max_warps;
+  const int scan_resident = static_cast<int>(warps);
+  const int reduce_resident = pipelined ? scan_resident + 1 : 1;
 
   for (std::size_t chunk_begin = 0; chunk_begin < n_reqs; chunk_begin += chunk_cols) {
-    const std::size_t cols = std::min(chunk_cols, n_reqs - chunk_begin);
+    const std::uint64_t cols = std::min(chunk_cols, n_reqs - chunk_begin);
+    const std::uint64_t matched = match_columns(chunk_begin, cols);
 
-    // --- Scan phase (Algorithm 1) for this chunk.
-    // With variable warp sizing (warp_width < 32), logical warps sharing a
-    // physical warp also share its instruction fetch and L1 access: only
-    // the first slice pays the global broadcast load; the others hit the
-    // slice-shared L1 (modelled at shared-memory cost).
-    const int slices_per_physical = simt::kWarpSize / std::max(1, opt_.warp_width);
-    for (int w = 0; w < warps_used; ++w) {
-      auto& warp = scan_cta.warp(w);
-      warp.set_active(warp_active[static_cast<std::size_t>(w)]);
-      const auto& msg_w = msg_regs[static_cast<std::size_t>(w)];
-      const bool leading_slice = (w % std::max(1, slices_per_physical)) == 0;
-      for (std::size_t c = 0; c < cols; ++c) {
-        // The chunk loop already cache-blocks the req lane into
-        // column_chunk-sized strips; prefetch within the strip keeps the
-        // next lines of the word[] lane in flight ahead of the scan.
-        prefetch_word(req_words, chunk_begin + c + kWordPrefetchDistance);
-        std::uint64_t req_w;
-        if (leading_slice) {
-          req_w = warp.load_global_broadcast(std::span<const std::uint64_t>(req_words),
-                                             chunk_begin + c);
-        } else {
-          req_w = req_words[chunk_begin + c];
-          warp.counters().shared_transactions += 1;
-        }
-        simt::LaneBool pred;
-        warp.lanes([&](int lane) { pred[lane] = word_matches(req_w, msg_w[lane]); },
-                   /*instructions=*/3);
-        const std::uint32_t vote = warp.ballot(pred);
-        // voteMatrix[warp_id * window + i] = vote (Algorithm 1 line 5); the
-        // chunk is staged in shared memory for the reduce warp.
-        vote_chunk[static_cast<std::size_t>(w) * chunk_cols + c] = vote;
-        warp.count_alu(1);
-        warp.counters().shared_transactions += 1;
-      }
-    }
-    scan_cta.barrier();
-    const simt::EventCounters scan_now = scan_cta.counters();
-    const simt::EventCounters scan_delta = delta(scan_now, scan_before);
-    scan_before = scan_now;
+    // Scan (Algorithm 1): per warp and column a broadcast load of the
+    // receive word (leading slices) or an L1 hit (the others), the
+    // 3-instruction compare, the ballot (line 4), and the vote-matrix store
+    // to shared memory plus its address arithmetic (line 5); one CTA
+    // barrier hands the chunk to the reduce warp.
+    scan_delta.global_load_requests += leading * cols;
+    scan_delta.global_transactions += leading * cols;
+    scan_delta.shared_transactions += (warps - leading) * cols + warps * cols;
+    scan_delta.alu_instructions += 4 * warps * cols;
+    scan_delta.ballot_instructions += warps * cols;
+    scan_delta.cta_barriers += 1;
     const double scan_cycles = model.cycles(scan_delta, scan_resident);
+    out.scan_events += scan_delta;
+    scan_delta = {};
 
-    // --- Reduce phase (Algorithm 2) for this chunk: one warp, thread t
-    // reads row t of the vote matrix.
-    auto& rwarp = reduce_cta.warp(0);
-    rwarp.set_active(util::low_mask(warps_used));
-    for (std::size_t c = 0; c < cols; ++c) {
-      simt::LaneU32 vote;
-      {
-        simt::LaneSize idx;
-        for (int t = 0; t < warps_used; ++t) {
-          idx[t] = static_cast<std::size_t>(t) * chunk_cols + c;
-        }
-        vote = rwarp.load_shared(std::span<const std::uint32_t>(vote_chunk.data(),
-                                                                vote_chunk.size()),
-                                 idx);
-      }
-      simt::LaneBool bids;
-      rwarp.lanes([&](int t) { bids[t] = (vote[t] & row_mask[t]) != 0; },
-                  /*instructions=*/2);
-      const std::uint32_t bidders = rwarp.ballot(bids);  // Algorithm 2 line 5.
-      rwarp.count_branch(bidders != 0);
-      rwarp.count_stall(static_cast<std::uint64_t>(opt_.reduce_chain_cycles));
-      if (bidders != 0) {
-        // Lowest thread id wins ("lower IDs have higher priority due to
-        // ordering", line 6), lowest set bit of its masked vote is the
-        // earliest message (line 7).
-        const int winner = util::ffs(bidders) - 1;
-        const std::uint32_t eligible = vote[winner] & row_mask[winner];
-        const int match_bit = util::ffs(eligible) - 1;
-        row_mask[winner] = util::clear_bit(row_mask[winner], match_bit);
-        rwarp.count_alu(3);
-        rwarp.counters().global_store_requests += 1;
-        rwarp.counters().global_transactions += 1;
-        out.result.request_match[chunk_begin + c] =
-            static_cast<std::int32_t>(winner * static_cast<int>(width) + match_bit);
-      }
-    }
-    const simt::EventCounters reduce_now = reduce_cta.counters();
-    const simt::EventCounters reduce_delta = delta(reduce_now, reduce_before);
-    reduce_before = reduce_now;
+    // Reduce (Algorithm 2): per column one shared load of the vote column,
+    // the 2-instruction bid test, the ballot over bidders (line 5) and its
+    // branch, plus the serialized mask-update chain; per match the two ffs
+    // and the mask update (lines 6-8) and the result store.
+    simt::EventCounters reduce_delta;
+    reduce_delta.shared_transactions = cols;
+    reduce_delta.alu_instructions = 2 * cols + 3 * matched;
+    reduce_delta.ballot_instructions = cols;
+    reduce_delta.branch_instructions = cols;
+    reduce_delta.divergent_branches = matched;
+    reduce_delta.stall_cycles = stall * cols;
+    reduce_delta.global_store_requests = matched;
+    reduce_delta.global_transactions = matched;
     const double reduce_cycles = model.cycles(reduce_delta, reduce_resident);
+    out.reduce_events += reduce_delta;
 
     // Pipeline ledger: the reduce of chunk k can only start once its scan
     // finished and the previous reduce drained.
@@ -309,9 +293,7 @@ void MatrixMatcher::match_words_into(std::span<const std::uint64_t> all_msg_word
     total_reduce_cycles += reduce_cycles;
   }
 
-  out.scan_events = scan_cta.counters();
-  out.reduce_events = reduce_cta.counters();
-  out.warps_used = warps_used;
+  out.warps_used = static_cast<int>(warps);
   out.cycles = (pipelined ? reduce_finish : total_scan_cycles + total_reduce_cycles) +
                opt_.iteration_overhead_cycles;
   out.seconds = model.seconds_from_cycles(out.cycles);
@@ -372,7 +354,7 @@ void MatrixMatcher::match_queues_into(MessageQueue& mq, RecvQueue& rq, MatchWork
       const auto req_words = rq.words().subspan(rw, req_take);
 
       SimtMatchStats& pass = ws.matrix.window;
-      match_words_into(msg_words, req_words, ws.matrix, pass);
+      match_words_into(msg_words, req_words, pass);
       out.scan_events += pass.scan_events;
       out.reduce_events += pass.reduce_events;
       out.cycles += pass.cycles;

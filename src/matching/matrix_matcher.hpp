@@ -19,9 +19,42 @@
 // at 1024 messages all 32 warps are needed for the scan and the overlap
 // disappears — the performance drop visible at the right edge of Figure 4.
 //
-// Queues with at most 32 messages take a matrix-free single-warp fast path
-// ("queues with less than 64 elements are scanned by a single warp and no
-// matrix is generated").
+// Queues with at most warp_width messages take a matrix-free single-warp
+// fast path ("queues with less than 64 elements are scanned by a single
+// warp and no matrix is generated").
+//
+// How the host computes it.  The two phases' outcome is simple: each
+// receive, in posted order, takes the earliest unconsumed message it
+// accepts.  The kernel resolves that with 64-bit word compares, then
+// charges the simt::EventCounters the warp program issues, in closed form
+// per column chunk, feeding each chunk's delta to the TimingModel in the
+// program's order.  With W scan warps of width w, L = ceil(W / (32/w))
+// leading slices, c columns in a chunk and m of them matched
+// (loads/stores are requests + transactions, 8-byte words, 128-byte
+// segments):
+//
+//   single warp  message load: 1 load, ceil(n/16) transactions; per column
+//                a broadcast load, 3 compare + 1 eligibility alu, ballot,
+//                branch, trunc(reduce_chain_cycles) stall; per match 2 alu
+//                (ffs, mask), a result store, and the branch counts as
+//                divergent
+//   scan         msg = messages[tid], chunk 0 only: per warp 1 load plus
+//   (Alg. 1)     the segments its lanes span.  req = requests[i]: L*c
+//                broadcast loads, the other (W-L)*c slices hit L1 (shared).
+//                vote = ballot(match(msg, req)): 3*W*c alu, W*c ballots.
+//                voteMatrix store (line 5): W*c shared, W*c alu.  One CTA
+//                barrier per chunk
+//   reduce       vote-row load: c shared; bid = vote & mask: 2*c alu;
+//   (Alg. 2)     ballot over bidders (line 5): c ballots, c branches; the
+//                mask-update chain: c * trunc(reduce_chain_cycles) stall;
+//                per match, winner ffs (line 6), message ffs (line 7) and
+//                mask update: 3 alu, a result store, a divergent branch
+//
+// The scan is costed at W resident warps, the reduce at W+1 when pipelined
+// (W < max_warps) and at 1 otherwise.  The lane-by-lane warp emulation
+// these terms were read from is the test oracle
+// tests/matching/matrix_oracle.hpp; its differential wall holds the two to
+// bit-identical SimtMatchStats.
 #pragma once
 
 #include <span>
@@ -59,8 +92,8 @@ class MatrixMatcher : public Matcher {
     double iteration_overhead_cycles = 600.0;
     /// Host scheduling policy, accepted for interface uniformity with the
     /// other SIMT matchers.  The matrix kernel is a dependent scan→reduce
-    /// pipeline over a shared vote matrix, so its emulation runs on the
-    /// calling thread regardless of the policy; host-side parallelism comes
+    /// pipeline over a shared vote matrix, so it runs on the calling thread
+    /// regardless of the policy; host-side parallelism comes
     /// from the layers above (partitions in the PartitionedMatcher, CTAs in
     /// the HashMatcher).
     simt::ExecutionPolicy policy = simt::ExecutionPolicy::serial();
@@ -75,8 +108,8 @@ class MatrixMatcher : public Matcher {
   [[nodiscard]] SimtMatchStats match_window(std::span<const Message> msgs,
                                             std::span<const RecvRequest> reqs) const;
 
-  /// Workspace form of match_window: words, per-warp registers, and the two
-  /// CTA contexts come from `mws`; the result lands in `out`.
+  /// Workspace form of match_window: the gathered words live in `mws`; the
+  /// result lands in `out`.
   void match_window_into(std::span<const Message> msgs, std::span<const RecvRequest> reqs,
                          MatrixWorkspace& mws, SimtMatchStats& out) const;
 
@@ -85,8 +118,7 @@ class MatrixMatcher : public Matcher {
   /// the per-window AoS gather).  Word i must be scan_word(src_i, tag_i);
   /// identical words give bit-identical stats to match_window_into.
   void match_words_into(std::span<const std::uint64_t> msg_words,
-                        std::span<const std::uint64_t> req_words, MatrixWorkspace& mws,
-                        SimtMatchStats& out) const;
+                        std::span<const std::uint64_t> req_words, SimtMatchStats& out) const;
 
   /// Batch interface (Matcher): drains copies of the inputs through
   /// match_queues_into (the copies live in the workspace).

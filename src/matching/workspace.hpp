@@ -3,12 +3,12 @@
 //
 // Every per-call buffer the matchers and the MatchEngine used to heap-
 // allocate — per-comm sub-batches and index maps, compaction flag vectors,
-// the vote-matrix CTA contexts, the hash matcher's plan/table storage, the
-// partition fan-out queues — lives here instead and is recycled across
-// calls: buffers are re-initialized with assign()/resize(), which reuse
-// capacity, so once a workspace has seen a workload shape, repeating that
-// shape allocates nothing (tests/matching/workspace_alloc_test.cpp proves
-// it with a counting operator new).
+// the hash matcher's plan/table storage, the partition fan-out queues —
+// lives here instead and is recycled across calls: buffers are
+// re-initialized with assign()/resize(), which reuse capacity, so once a
+// workspace has seen a workload shape, repeating that shape allocates
+// nothing (tests/matching/zero_alloc_test.cpp proves it with a counting
+// operator new).
 //
 // Ownership and thread-safety contract (docs/perf.md):
 //   * A workspace belongs to exactly one caller at a time.  MatchEngine
@@ -25,14 +25,12 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "matching/device_hash_table.hpp"
 #include "matching/envelope.hpp"
 #include "matching/queue.hpp"
 #include "matching/simt_stats.hpp"
-#include "simt/cta.hpp"
 #include "simt/event_counters.hpp"
 #include "simt/lane_array.hpp"
 #include "simt/launcher.hpp"
@@ -56,14 +54,11 @@ struct HashGroupPlan {
   DeviceHashTable::ProbeOutcome probe;
 };
 
-/// Scratch for MatrixMatcher: element words, per-warp registers, original-
-/// index maps, per-pass flags, and the two CTA contexts (scan + reduce)
-/// whose warp vectors and shared-memory arenas persist across windows.
+/// Scratch for MatrixMatcher: gathered element words (AoS entry point),
+/// original-index maps and per-pass flags of the queue drain.
 struct MatrixWorkspace {
   std::vector<std::uint64_t> msg_words;
   std::vector<std::uint64_t> req_words;
-  std::vector<simt::LaneU64> msg_regs;
-  std::vector<simt::LaneMask> warp_active;
   std::vector<std::uint32_t> msg_orig;
   std::vector<std::uint32_t> req_orig;
   std::vector<std::uint8_t> msg_flags;
@@ -73,10 +68,6 @@ struct MatrixWorkspace {
   RecvQueue batch_reqs;
   /// Per-window stats slot reused by the drain loop.
   SimtMatchStats window;
-  /// CTA contexts are address-pinned (warps point at their counters), so
-  /// they sit in optionals: emplaced on first use, reset() afterwards.
-  std::optional<simt::CtaContext> scan_cta;
-  std::optional<simt::CtaContext> reduce_cta;
 };
 
 /// Scratch for HashMatcher: element words, pending/deferred worklists, the
@@ -191,18 +182,5 @@ class MatchWorkspace {
   PatternWorkspace pattern;
   EngineWorkspace engine;
 };
-
-namespace detail {
-/// Emplace-or-reset helper for the pinned CTA context slots.
-inline simt::CtaContext& reuse_cta(std::optional<simt::CtaContext>& slot, int cta_id,
-                                   int num_warps, std::size_t shared_mem_limit) {
-  if (!slot.has_value()) {
-    slot.emplace(cta_id, num_warps, shared_mem_limit);
-  } else {
-    slot->reset(cta_id, num_warps, shared_mem_limit);
-  }
-  return *slot;
-}
-}  // namespace detail
 
 }  // namespace simtmsg::matching

@@ -287,13 +287,13 @@ void Cluster::barrier() {
   if (!cfg_.semantics.unexpected) {
     // Enforcement sweep: every node, not just the active set — a node with
     // leftover unexpected messages and no posted receives is exactly what
-    // this is here to catch.
+    // this is here to catch.  No scheduler update: every node is at its
+    // quiescent fixed point, so no step here changes the runnable set.
     std::vector<Completion> sink;
     for (int n = 0; n < cfg_.nodes; ++n) {
-      const StepResult r = engines_[static_cast<std::size_t>(n)].step(
+      engines_[static_cast<std::size_t>(n)].step(
           gas_.incoming(n), posted_[static_cast<std::size_t>(n)], sink,
           /*enforce_expected=*/true);
-      scheduler_.stepped(n, r.runnable);
     }
   }
 }

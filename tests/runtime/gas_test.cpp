@@ -8,7 +8,7 @@ namespace simtmsg::runtime {
 namespace {
 
 NetworkConfig quiet_net() {
-  return {.latency_us = 1.0, .bandwidth_gbs = 40.0, .jitter_us = 0.0, .seed = 1};
+  return {.latency_us = 1.0, .bandwidth_gbs = 40.0, .jitter_us = 0.0, .seed = 1, .faults = {}};
 }
 
 /// Every packet due by `until_us`, in the order the GAS released them.

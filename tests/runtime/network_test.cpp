@@ -9,20 +9,23 @@ namespace simtmsg::runtime {
 namespace {
 
 TEST(Network, LatencyAddsToInjectionTime) {
-  Network net({.latency_us = 2.0, .bandwidth_gbs = 40.0, .jitter_us = 0.0, .seed = 1});
+  Network net({.latency_us = 2.0, .bandwidth_gbs = 40.0, .jitter_us = 0.0,
+               .seed = 1, .faults = {}});
   const double t = net.arrival_time(10.0, 0, /*wire_seq=*/0);
   EXPECT_DOUBLE_EQ(t, 12.0);
 }
 
 TEST(Network, BandwidthTermScalesWithBytes) {
-  Network net({.latency_us = 0.0, .bandwidth_gbs = 40.0, .jitter_us = 0.0, .seed = 1});
+  Network net({.latency_us = 0.0, .bandwidth_gbs = 40.0, .jitter_us = 0.0,
+               .seed = 1, .faults = {}});
   // 40 GB/s = 40e3 bytes/us: 40,000 bytes take 1 us.
   EXPECT_NEAR(net.arrival_time(0.0, 40000, 0), 1.0, 1e-12);
   EXPECT_NEAR(net.arrival_time(0.0, 80000, 1), 2.0, 1e-12);
 }
 
 TEST(Network, JitterBoundedAndNonNegative) {
-  Network net({.latency_us = 1.0, .bandwidth_gbs = 40.0, .jitter_us = 0.5, .seed = 7});
+  Network net({.latency_us = 1.0, .bandwidth_gbs = 40.0, .jitter_us = 0.5,
+               .seed = 7, .faults = {}});
   for (std::uint64_t i = 0; i < 1000; ++i) {
     const double t = net.arrival_time(0.0, 0, i);
     EXPECT_GE(t, 1.0);
@@ -31,8 +34,8 @@ TEST(Network, JitterBoundedAndNonNegative) {
 }
 
 TEST(Network, ZeroJitterIsDeterministic) {
-  Network a({.latency_us = 1.0, .bandwidth_gbs = 10.0, .jitter_us = 0.0, .seed = 1});
-  Network b({.latency_us = 1.0, .bandwidth_gbs = 10.0, .jitter_us = 0.0, .seed = 2});
+  Network a({.latency_us = 1.0, .bandwidth_gbs = 10.0, .jitter_us = 0.0, .seed = 1, .faults = {}});
+  Network b({.latency_us = 1.0, .bandwidth_gbs = 10.0, .jitter_us = 0.0, .seed = 2, .faults = {}});
   EXPECT_DOUBLE_EQ(a.arrival_time(5.0, 100, 0), b.arrival_time(5.0, 100, 0));
 }
 
@@ -41,7 +44,8 @@ TEST(Network, ZeroJitterIsDeterministic) {
 // is now derived statelessly from (seed, wire_seq) — the same wire sequence
 // always gets the same draw, regardless of interleaving.
 TEST(Network, JitterIsAFunctionOfWireSequence) {
-  Network net({.latency_us = 1.0, .bandwidth_gbs = 40.0, .jitter_us = 0.5, .seed = 42});
+  Network net({.latency_us = 1.0, .bandwidth_gbs = 40.0, .jitter_us = 0.5,
+               .seed = 42, .faults = {}});
   const double first = net.arrival_time(0.0, 0, 17);
   // Interleave draws for other sequences, then re-ask for 17.
   for (std::uint64_t i = 0; i < 100; ++i) (void)net.arrival_time(0.0, 0, i);
@@ -49,7 +53,8 @@ TEST(Network, JitterIsAFunctionOfWireSequence) {
 }
 
 TEST(Network, DistinctWireSequencesGetIndependentJitter) {
-  Network net({.latency_us = 1.0, .bandwidth_gbs = 40.0, .jitter_us = 0.5, .seed = 42});
+  Network net({.latency_us = 1.0, .bandwidth_gbs = 40.0, .jitter_us = 0.5,
+               .seed = 42, .faults = {}});
   // Not a hard guarantee per pair, but over 64 sequences at least two draws
   // must differ or the jitter stream is degenerate.
   bool any_differ = false;
@@ -64,13 +69,17 @@ TEST(Network, DistinctWireSequencesGetIndependentJitter) {
 // internally stateless, so concurrent arrival_time / plan calls from
 // multiple threads must race-freely produce the single-threaded answers.
 TEST(Network, ConcurrentCallsMatchSerialAnswers) {
+  FaultModel faults;
+  faults.drop_prob = 0.2;
+  faults.dup_prob = 0.2;
+  faults.corrupt_prob = 0.2;
+  faults.delay_spike_prob = 0.2;
+  faults.delay_spike_us = 3.0;
   const NetworkConfig cfg{.latency_us = 1.0,
                           .bandwidth_gbs = 40.0,
                           .jitter_us = 0.5,
                           .seed = 99,
-                          .faults = {.drop_prob = 0.2, .dup_prob = 0.2,
-                                     .corrupt_prob = 0.2, .delay_spike_prob = 0.2,
-                                     .delay_spike_us = 3.0}};
+                          .faults = faults};
   const Network net(cfg);
   constexpr std::uint64_t kSeqs = 512;
 
@@ -131,7 +140,7 @@ TEST(Network, FaultModelInactiveByDefault) {
 }
 
 TEST(Network, ScriptOverridesProbabilisticDraws) {
-  NetworkConfig cfg{.latency_us = 1.0, .seed = 5};
+  NetworkConfig cfg{.latency_us = 1.0, .seed = 5, .faults = {}};
   cfg.faults.script = [](const Packet& p) {
     return WireFault{.drop = p.sequence == 3};
   };

@@ -69,7 +69,9 @@ std::string run_unqualified(const ClusterConfig& cfg, const std::vector<Flow>& f
   for (std::size_t i = 0; i < flows.size(); ++i) {
     const auto r = c.result(handles[i]);
     EXPECT_TRUE(r.has_value()) << i;
-    if (r) EXPECT_EQ(r->payload, flows[i].payload) << i;
+    if (r) {
+      EXPECT_EQ(r->payload, flows[i].payload) << i;
+    }
   }
   return c.snapshot().to_json().dump();
 }
