@@ -59,6 +59,10 @@ Cluster::Cluster(ClusterConfig cfg)
     : cfg_(validated(std::move(cfg))),
       gas_(cfg_.nodes, cfg_.network, &fabric_telemetry_),
       scheduler_(cfg_.nodes, scheduler_probe()) {
+  // The page directory is the one handle-table structure that reallocates
+  // (a pointer per page); reserving it keeps the first 64 pages' growth to
+  // exactly one allocation each.
+  handle_pages_.reserve(64);
   const auto& device = simt::device(cfg_.device);
   engines_.reserve(static_cast<std::size_t>(cfg_.nodes));
   posted_.resize(static_cast<std::size_t>(cfg_.nodes));
@@ -141,7 +145,11 @@ RecvHandle Cluster::irecv(Stream stream, int node, matching::Rank src,
   req.env = env;
   req.user_data = next_handle_;
   posted_[static_cast<std::size_t>(node)].push(req);
-  pending_.emplace(next_handle_, PendingRecv{node, env});
+  const std::size_t index = next_handle_ - 1;
+  if (index % kHandlePage == 0) {
+    handle_pages_.push_back(std::make_unique<HandleSlot[]>(kHandlePage));
+  }
+  handle_pages_.back()[index % kHandlePage] = HandleSlot{.env = env, .node = node};
   ++posts_;
   if (stream.id != matching::kDefaultStream) ++stream_posts_[stream.id];
   wake(node);
@@ -153,19 +161,31 @@ RecvHandle Cluster::irecv(int node, matching::Rank src, matching::Tag tag,
   return irecv(Stream{}, node, src, tag, comm);
 }
 
-bool Cluster::test(RecvHandle h) const { return completed_.contains(h.id); }
+Cluster::HandleSlot* Cluster::handle_slot(std::uint64_t id) noexcept {
+  if (id == 0 || id >= next_handle_) return nullptr;
+  return &handle_pages_[(id - 1) / kHandlePage][(id - 1) % kHandlePage];
+}
+
+const Cluster::HandleSlot* Cluster::handle_slot(std::uint64_t id) const noexcept {
+  return const_cast<Cluster*>(this)->handle_slot(id);
+}
+
+bool Cluster::test(RecvHandle h) const {
+  const HandleSlot* slot = handle_slot(h.id);
+  return slot != nullptr && slot->state == HandleState::kCompleted;
+}
 
 bool Cluster::cancel(RecvHandle h) {
-  const auto it = pending_.find(h.id);
-  if (it == pending_.end()) return false;
-  auto& queue = posted_[static_cast<std::size_t>(it->second.node)];
-  std::vector<std::uint8_t> matched(queue.size(), 0);
+  HandleSlot* slot = handle_slot(h.id);
+  if (slot == nullptr || slot->state != HandleState::kPending) return false;
+  const int node = slot->node;
+  auto& queue = posted_[static_cast<std::size_t>(node)];
+  cancel_mask_.assign(queue.size(), 0);
   for (std::size_t i = 0; i < queue.size(); ++i) {
-    if (queue[i].user_data == h.id) matched[i] = 1;
+    if (queue[i].user_data == h.id) cancel_mask_[i] = 1;
   }
-  (void)queue.compact(matched);
-  const int node = it->second.node;
-  pending_.erase(it);
+  (void)queue.compact(cancel_mask_);
+  slot->state = HandleState::kCancelled;
   ++cancels_;
   // The node may have just gone idle.
   scheduler_.stepped(node, !gas_.incoming(node).empty() && !queue.empty());
@@ -173,9 +193,9 @@ bool Cluster::cancel(RecvHandle h) {
 }
 
 std::optional<RecvResult> Cluster::result(RecvHandle h) const {
-  const auto it = completed_.find(h.id);
-  if (it == completed_.end()) return std::nullopt;
-  return it->second;
+  const HandleSlot* slot = handle_slot(h.id);
+  if (slot == nullptr || slot->state != HandleState::kCompleted) return std::nullopt;
+  return RecvResult{slot->env.src, slot->env.tag, slot->payload, slot->env.stream};
 }
 
 std::size_t Cluster::progress() {
@@ -255,9 +275,10 @@ std::size_t Cluster::progress() {
     scheduler_.stepped(n, r.runnable);
   }
   for (const auto& c : completions_) {
-    completed_[c.handle] =
-        RecvResult{c.msg_env.src, c.msg_env.tag, c.payload, c.msg_env.stream};
-    pending_.erase(c.handle);
+    HandleSlot& slot = *handle_slot(c.handle);
+    slot.env = c.msg_env;
+    slot.payload = c.payload;
+    slot.state = HandleState::kCompleted;
   }
   return matched;
 }
@@ -289,10 +310,10 @@ void Cluster::barrier() {
     // leftover unexpected messages and no posted receives is exactly what
     // this is here to catch.  No scheduler update: every node is at its
     // quiescent fixed point, so no step here changes the runnable set.
-    std::vector<Completion> sink;
+    barrier_sink_.clear();
     for (int n = 0; n < cfg_.nodes; ++n) {
       engines_[static_cast<std::size_t>(n)].step(
-          gas_.incoming(n), posted_[static_cast<std::size_t>(n)], sink,
+          gas_.incoming(n), posted_[static_cast<std::size_t>(n)], barrier_sink_,
           /*enforce_expected=*/true);
     }
   }
@@ -319,12 +340,12 @@ RecvResult Cluster::wait(RecvHandle h) {
       if (const auto r = result(h)) return *r;
       // Name the stuck handle so a chaos-test failure is diagnosable: which
       // node's queue it sits in, and the posted (src, tag, comm) that never
-      // found a message.  The pending index makes both lookups O(1).
+      // found a message.  The handle table makes both lookups O(1).
       std::string why = "wait(): cluster quiescent, receive cannot complete (node " +
                         std::to_string(h.node) + ", handle " + std::to_string(h.id);
-      const auto it = pending_.find(h.id);
-      if (it != pending_.end()) {
-        why += ", posted " + matching::to_string(it->second.env);
+      const HandleSlot* slot = handle_slot(h.id);
+      if (slot != nullptr && slot->state == HandleState::kPending) {
+        why += ", posted " + matching::to_string(slot->env);
       } else {
         why += ", not in the posted queue";
       }

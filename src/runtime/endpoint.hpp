@@ -28,8 +28,8 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "matching/semantics.hpp"
@@ -148,6 +148,11 @@ class Cluster {
   /// < 1, a scheduler policy other than kEventDriven, or invalid semantics.
   explicit Cluster(ClusterConfig cfg);
 
+  /// Receive handles live in a table of kHandlePage-slot pages indexed by
+  /// id: the table grows a page at a time, so a slot never moves once
+  /// issued, and posting receives allocates once per page.
+  static constexpr std::size_t kHandlePage = 1024;
+
   // The Scheduler probes capture `this`; the cluster must not move.
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
@@ -186,12 +191,13 @@ class Cluster {
   [[nodiscard]] bool test(RecvHandle h) const;
 
   /// Cancel a posted receive that has not completed: removes it from the
-  /// node's posted queue and the pending index, and tells the scheduler in
-  /// case the node just went idle.  Returns true when the handle was
-  /// pending and is now cancelled; false when it already completed (the
-  /// result stays readable) or was never posted.  O(posted queue) — a cold
-  /// path for retiring receives whose messages the fabric gave up on
-  /// (StarForest partial mode, docs/collectives.md).
+  /// posted queue of the node it was posted to (whatever h.node says),
+  /// marks the handle cancelled, and tells the scheduler in case the node
+  /// just went idle.  Returns true when the handle was pending and is now
+  /// cancelled; false when it already completed (the result stays
+  /// readable), was cancelled before, or was never posted.  O(posted
+  /// queue) — a cold path for retiring receives whose messages the fabric
+  /// gave up on (StarForest partial mode, docs/collectives.md).
   bool cancel(RecvHandle h);
 
   /// Completed result, if any.
@@ -255,12 +261,25 @@ class Cluster {
   /// scheduler and its probe and drives progress tick by tick.
   friend class ScanOracle;
 
-  /// A receive posted but not yet completed: the O(1) index wait() and the
-  /// deadlock diagnostics use instead of scanning the posted queues.
-  struct PendingRecv {
-    int node = -1;
+  /// What became of a receive handle.
+  enum class HandleState : std::uint8_t { kPending, kCompleted, kCancelled };
+
+  /// One receive handle, indexed by id − 1 (ids are dense from 1).  While
+  /// pending, `env` is the posted envelope — the O(1) index wait() and the
+  /// deadlock diagnostics use instead of scanning the posted queues; once
+  /// completed it is the matched message's envelope, with `payload`.
+  struct HandleSlot {
     matching::Envelope env;
+    int node = -1;  ///< Where the receive was posted.
+    HandleState state = HandleState::kPending;
+    std::uint64_t payload = 0;
   };
+  static_assert(sizeof(HandleSlot) == 32);
+
+  /// The slot of an issued receive handle id, or null for id 0 and ids
+  /// never issued.
+  [[nodiscard]] HandleSlot* handle_slot(std::uint64_t id) noexcept;
+  [[nodiscard]] const HandleSlot* handle_slot(std::uint64_t id) const noexcept;
 
   /// True when nothing is in flight and no reliability timer is pending;
   /// on the transition to quiescence, sweeps stranded held messages into
@@ -281,8 +300,8 @@ class Cluster {
   std::vector<ProgressEngine> engines_;
   std::vector<matching::RecvQueue> posted_;
   Scheduler scheduler_;
-  std::unordered_map<std::uint64_t, RecvResult> completed_;  ///< By handle id.
-  std::unordered_map<std::uint64_t, PendingRecv> pending_;   ///< By handle id.
+  /// Receive-handle table: kHandlePage-slot pages; results are kept.
+  std::vector<std::unique_ptr<HandleSlot[]>> handle_pages_;
   std::vector<DeliveryFailure> failures_;
   std::uint64_t next_handle_ = 1;
   /// Send handles draw from their own id space so receive handle ids are
@@ -308,8 +327,8 @@ class Cluster {
   std::uint64_t rto_expiries_ = 0;
   std::size_t active_set_peak_ = 0;
 
-  // Per-tick scratch, reused so the steady-state progress loop stays
-  // allocation-free once the fleet's working set is warm.
+  // Per-call scratch (progress ticks, barrier(), cancel()), reused so the
+  // steady state stays allocation-free once the fleet's working set is warm.
   std::vector<Packet> raw_;
   std::vector<Packet> replies_;
   std::vector<Packet> resend_;
@@ -318,6 +337,8 @@ class Cluster {
   std::vector<Completion> completions_;
   std::vector<int> active_;
   std::vector<int> due_;
+  std::vector<Completion> barrier_sink_;  ///< barrier()'s enforcement sweep.
+  std::vector<std::uint8_t> cancel_mask_;  ///< cancel()'s compaction mask.
 };
 
 }  // namespace simtmsg::runtime

@@ -6,19 +6,30 @@
 //
 // Each node owns an incoming message queue in its (simulated) device
 // memory; remote_enqueue models the one-sided write a send performs.
-// In-flight packets are delivered in arrival-time order.  FIFO is enforced
-// per (from, to, stream) with a monotone clamp on planned arrivals — the
-// NVLink-class guarantee, sliced per ordering domain (docs/streams.md) so
-// distinct streams of the same pair may overtake each other — unless the
-// FaultModel's pair-order-violation mode is on.
+// In-flight packets are delivered in (arrival time, wire sequence) order.
+// FIFO is enforced per (from, to, stream) with a monotone clamp on planned
+// arrivals — the NVLink-class guarantee, sliced per ordering domain
+// (docs/streams.md) so distinct streams of the same pair may overtake each
+// other — unless the FaultModel's pair-order-violation mode is on.
+//
+// Delivery structure: in-flight packets live in one recycled slot pool.
+// Each ordering domain is a lane — an intrusive FIFO of pool slots plus its
+// clamp — found through a flat open-addressed index keyed by (from, to,
+// stream).  The clamp makes every lane monotone in (arrival, sequence), so
+// only lane heads sit in the min-heap of 24-byte (arrival, sequence, slot)
+// keys, and popping a head pushes its successor: a k-way merge that
+// releases exactly the global order one heap over every packet would.  The
+// heap holds one key per active domain rather than one per packet.  Under
+// allow_pair_reorder lanes are not monotone, so every packet enters the
+// same heap on its own, with no successor link.
+//
 // The wire applies the NetworkConfig's FaultModel at injection time: a
 // packet may be dropped, duplicated, bit-flipped, or delay-spiked, each
-// event tallied into the optional telemetry sink as runtime.fault.*.
+// event tallied into the optional telemetry sink as runtime.fault.*.  A
+// duplicate is queued right behind its original in the same lane.
 #pragma once
 
-#include <map>
-#include <queue>
-#include <tuple>
+#include <cstdint>
 #include <vector>
 
 #include "matching/queue.hpp"
@@ -54,9 +65,11 @@ class GlobalAddressSpace {
 
   /// Earliest in-flight arrival, or a negative value when nothing is in
   /// flight.
-  [[nodiscard]] double next_arrival() const noexcept;
+  [[nodiscard]] double next_arrival() const noexcept {
+    return heap_.empty() ? -1.0 : heap_.front().arrival_us;
+  }
 
-  [[nodiscard]] bool idle() const noexcept { return in_flight_.empty(); }
+  [[nodiscard]] bool idle() const noexcept { return heap_.empty(); }
 
   /// Node-local incoming message queue (what the communication kernel
   /// matches against).
@@ -70,23 +83,63 @@ class GlobalAddressSpace {
   [[nodiscard]] std::uint64_t total_injected() const noexcept { return sequence_; }
 
  private:
-  struct Later {
-    bool operator()(const Packet& a, const Packet& b) const noexcept {
-      if (a.arrival_us != b.arrival_us) return a.arrival_us > b.arrival_us;
-      return a.sequence > b.sequence;
+  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+
+  /// One pool entry: an in-flight packet, its lane, and the next slot of
+  /// that lane (or of the free list once the slot is released).
+  struct Slot {
+    Packet packet;
+    std::uint32_t lane = kNone;
+    std::uint32_t next = kNone;
+  };
+
+  /// One ordering domain: its FIFO tail (the head is the slot whose key
+  /// sits in the heap) and its clamp, the latest planned arrival.  One
+  /// clamp per domain, so a delay spike on one stream never drags a sibling
+  /// stream's arrivals behind it.  Lanes outlive their packets — the clamp
+  /// must — and are never removed.
+  struct Lane {
+    int from = 0;
+    int to = 0;
+    matching::StreamId stream = matching::kDefaultStream;
+    std::uint32_t tail = kNone;
+    double last = 0.0;
+  };
+
+  /// Heap entry: the packet's (arrival, sequence) order and its pool slot.
+  struct Key {
+    double arrival_us;
+    std::uint64_t sequence;
+    std::uint32_t slot;
+
+    /// Delivery order: arrival time, ties broken by injection order.
+    friend bool operator<(const Key& a, const Key& b) noexcept {
+      if (a.arrival_us != b.arrival_us) return a.arrival_us < b.arrival_us;
+      return a.sequence < b.sequence;
     }
   };
 
   void bump(std::string_view name);
+  /// Index of the (from, to, stream) lane, created on first use.
+  std::uint32_t lane_of(int from, int to, matching::StreamId stream);
+  /// Move `p` into a free pool slot (growing the pool when none is free)
+  /// and queue it behind its lane's tail, or in the heap when the lane is
+  /// empty or `lane` is kNone (no order to keep).
+  void enqueue(Packet&& p, std::uint32_t lane);
+  void heap_push(Key k);
+  /// Replace the minimum with `k` and restore the heap (one sift-down).
+  void heap_replace_top(Key k);
+  void heap_pop();
 
   Network network_;
-  std::priority_queue<Packet, std::vector<Packet>, Later> in_flight_;
   std::vector<matching::MessageQueue> incoming_;
-  /// Latest planned arrival per (from, to, stream) — the FIFO clamp.  One
-  /// clamp per ordering domain: a delay spike on one stream never drags a
-  /// sibling stream's arrivals behind it.  With only the default stream the
-  /// map holds exactly the pre-stream (from, to) entries.
-  std::map<std::tuple<int, int, matching::StreamId>, double> last_arrival_;
+  std::vector<Slot> pool_;
+  std::uint32_t free_ = kNone;  ///< Head of the free-slot list.
+  std::vector<Lane> lanes_;
+  /// Open-addressed (linear probing) index into lanes_; kNone marks an
+  /// empty bucket.  Power-of-two size, at most half full.
+  std::vector<std::uint32_t> lane_index_;
+  std::vector<Key> heap_;  ///< Binary min-heap on (arrival_us, sequence).
   telemetry::Registry* fault_sink_ = nullptr;
   std::uint64_t sequence_ = 0;
 };

@@ -15,10 +15,32 @@ std::string_view to_string(NodeActivity activity) noexcept {
 }
 
 Scheduler::Scheduler(int nodes, Probe probe)
-    : probe_(std::move(probe)), armed_(static_cast<std::size_t>(nodes), -1.0) {}
+    : probe_(std::move(probe)),
+      position_(static_cast<std::size_t>(nodes), -1),
+      armed_(static_cast<std::size_t>(nodes), -1.0) {
+  runnable_.reserve(static_cast<std::size_t>(nodes));
+}
+
+void Scheduler::insert_runnable(int node) {
+  int& pos = position_[static_cast<std::size_t>(node)];
+  if (pos >= 0) return;
+  pos = static_cast<int>(runnable_.size());
+  runnable_.push_back(node);
+}
+
+void Scheduler::erase_runnable(int node) {
+  int& pos = position_[static_cast<std::size_t>(node)];
+  if (pos < 0) return;
+  // Swap-remove: the last member takes the vacated position.
+  const int moved = runnable_.back();
+  runnable_[static_cast<std::size_t>(pos)] = moved;
+  position_[static_cast<std::size_t>(moved)] = pos;
+  runnable_.pop_back();
+  pos = -1;
+}
 
 void Scheduler::wake(int node) {
-  if (probe_.runnable(node)) runnable_.insert(node);
+  if (probe_.runnable(node)) insert_runnable(node);
 }
 
 void Scheduler::rto_touched(int node) {
@@ -32,14 +54,15 @@ void Scheduler::rto_touched(int node) {
 
 void Scheduler::stepped(int node, bool runnable) {
   if (runnable) {
-    runnable_.insert(node);
+    insert_runnable(node);
   } else {
-    runnable_.erase(node);
+    erase_runnable(node);
   }
 }
 
 void Scheduler::collect_active(std::vector<int>& out) const {
-  out.assign(runnable_.begin(), runnable_.end());  // std::set: ascending.
+  out.assign(runnable_.begin(), runnable_.end());
+  std::sort(out.begin(), out.end());
 }
 
 double Scheduler::next_rto_deadline() const {

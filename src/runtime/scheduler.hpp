@@ -82,9 +82,15 @@ class Scheduler {
   [[nodiscard]] bool rto_idle() const { return wheel_.empty(); }
 
  private:
+  void insert_runnable(int node);
+  void erase_runnable(int node);
+
   Probe probe_;
-  /// Nodes whose incoming and posted queues are both non-empty.
-  std::set<int> runnable_;
+  /// Nodes whose incoming and posted queues are both non-empty, unordered;
+  /// position_[n] is n's index in runnable_ (-1 = not runnable).  Both are
+  /// sized for the whole fleet up front, so the set never allocates.
+  std::vector<int> runnable_;
+  std::vector<int> position_;
   /// (deadline, node), one entry per node at its earliest RTO.  A multiset
   /// because two nodes may share a deadline (coalesced timers).
   std::multiset<std::pair<double, int>> wheel_;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 namespace simtmsg::runtime {
 namespace {
 
@@ -345,6 +348,146 @@ TEST_P(ClusterPolicyTest, SnapshotExportsSchedulerInstruments) {
   EXPECT_GE(r.gauges.at("runtime.scheduler.active_set_peak"), 1.0);
   // Only node 1 ever has matching work: the idle sender is never stepped.
   EXPECT_GT(r.counters.at("runtime.scheduler.idle_steps_skipped"), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Receive-handle misuse: ids never issued, cancelled ids, cancels after
+// completion and handles whose node field was forged.  test()/result() and
+// cancel() go by the id alone — cancel acts on the node the receive was
+// posted to — while wait()'s diagnostic names the handle's own node field.
+
+/// The wait() deadlock diagnostic for `h` (wait must throw).
+std::string wait_error(Cluster& c, RecvHandle h) {
+  try {
+    (void)c.wait(h);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "wait() should have thrown";
+  return {};
+}
+
+TEST(ClusterHandleMisuse, IdsNeverIssuedAreUnknown) {
+  ClusterConfig cfg;
+  cfg.nodes = 2;
+  Cluster c(cfg);
+  const RecvHandle issued = c.irecv(1, 0, 4);
+  for (const RecvHandle h : {RecvHandle{}, RecvHandle{1, 0}, RecvHandle{1, issued.id + 1},
+                             RecvHandle{0, 1'000'000}, RecvHandle{1, ~std::uint64_t{0}}}) {
+    EXPECT_FALSE(c.test(h)) << h.id;
+    EXPECT_FALSE(c.result(h).has_value()) << h.id;
+    EXPECT_FALSE(c.cancel(h)) << h.id;
+  }
+  EXPECT_EQ(c.snapshot().counters.at("runtime.cluster.receives_cancelled"), 0u);
+  EXPECT_EQ(c.node_activity(1), NodeActivity::kStarved);  // `issued` untouched.
+
+  const std::string zero = wait_error(c, RecvHandle{1, 0});
+  EXPECT_NE(zero.find("(node 1, handle 0, not in the posted queue)"), std::string::npos)
+      << zero;
+  EXPECT_NE(zero.find("scheduler view: starved"), std::string::npos) << zero;
+
+  const std::string unissued = wait_error(c, RecvHandle{0, issued.id + 1});
+  EXPECT_NE(unissued.find("(node 0, handle " + std::to_string(issued.id + 1) +
+                          ", not in the posted queue)"),
+            std::string::npos)
+      << unissued;
+  EXPECT_NE(unissued.find("scheduler view: idle"), std::string::npos) << unissued;
+
+  // A default handle names node -1 and, out of range, has no scheduler view.
+  const std::string dflt = wait_error(c, RecvHandle{});
+  EXPECT_NE(dflt.find("(node -1, handle 0, not in the posted queue)"), std::string::npos)
+      << dflt;
+  EXPECT_EQ(dflt.find("scheduler view"), std::string::npos) << dflt;
+}
+
+TEST(ClusterHandleMisuse, CancelledIdStaysCancelled) {
+  ClusterConfig cfg;
+  cfg.nodes = 2;
+  Cluster c(cfg);
+  const RecvHandle h = c.irecv(1, 0, 7);
+  EXPECT_TRUE(c.cancel(h));
+  EXPECT_FALSE(c.cancel(h));  // Double cancel.
+  EXPECT_FALSE(c.test(h));
+  EXPECT_FALSE(c.result(h).has_value());
+  EXPECT_EQ(c.snapshot().counters.at("runtime.cluster.receives_cancelled"), 1u);
+
+  // Its message parks as unexpected; the cancelled receive never completes.
+  c.send(0, 1, 7, 55);
+  const std::string why = wait_error(c, h);
+  EXPECT_NE(why.find("(node 1, handle " + std::to_string(h.id) +
+                     ", not in the posted queue)"),
+            std::string::npos)
+      << why;
+  EXPECT_NE(why.find("scheduler view: idle"), std::string::npos) << why;
+  EXPECT_FALSE(c.test(h));
+  EXPECT_FALSE(c.cancel(h));
+
+  // A later receive for the same envelope takes the parked message.
+  const RecvHandle again = c.irecv(1, 0, 7);
+  EXPECT_EQ(c.wait(again).payload, 55u);
+  EXPECT_FALSE(c.test(h));
+}
+
+TEST(ClusterHandleMisuse, CancelAfterCompletionKeepsTheResult) {
+  ClusterConfig cfg;
+  cfg.nodes = 2;
+  cfg.max_streams = 4;  // Independent of SIMTMSG_STREAMS.
+  Cluster c(cfg);
+  const RecvHandle h = c.irecv(Stream{3}, 1, matching::kAnySource, matching::kAnyTag);
+  c.send(Stream{3}, 0, 1, 12, 77);
+  const RecvResult r = c.wait(h);
+  EXPECT_FALSE(c.cancel(h));
+  EXPECT_FALSE(c.cancel(h));
+  EXPECT_TRUE(c.test(h));
+  ASSERT_TRUE(c.result(h).has_value());
+  EXPECT_EQ(c.result(h)->payload, 77u);
+  EXPECT_EQ(c.result(h)->src, 0);  // Wildcards resolved.
+  EXPECT_EQ(c.result(h)->tag, 12);
+  EXPECT_EQ(c.result(h)->stream, 3);
+  EXPECT_EQ(c.wait(h).payload, r.payload);  // Results are kept.
+  EXPECT_EQ(c.snapshot().counters.at("runtime.cluster.receives_cancelled"), 0u);
+}
+
+TEST(ClusterHandleMisuse, ForgedNodeActsOnTheRecordedNode) {
+  ClusterConfig cfg;
+  cfg.nodes = 4;
+  Cluster c(cfg);
+  const RecvHandle h = c.irecv(1, 0, 5, /*comm=*/2);
+  const RecvHandle other = c.irecv(2, 0, 6);
+
+  // wait() on a forged pending handle: the posted envelope comes from the
+  // record, the node text and scheduler view from the handle's node field.
+  const std::string why = wait_error(c, RecvHandle{2, h.id});
+  EXPECT_NE(why.find("(node 2, handle " + std::to_string(h.id) + ", posted "),
+            std::string::npos)
+      << why;
+  EXPECT_NE(why.find("tag=5"), std::string::npos) << why;
+  EXPECT_NE(why.find("comm=2"), std::string::npos) << why;
+
+  // cancel() through a forged node removes the receive from node 1.
+  EXPECT_EQ(c.node_activity(1), NodeActivity::kStarved);
+  EXPECT_TRUE(c.cancel(RecvHandle{2, h.id}));
+  EXPECT_EQ(c.node_activity(1), NodeActivity::kIdle);
+  EXPECT_EQ(c.node_activity(2), NodeActivity::kStarved);  // `other` untouched.
+  EXPECT_FALSE(c.cancel(h));
+  EXPECT_FALSE(c.cancel(RecvHandle{-5, h.id}));
+
+  // test()/result() go by id: any node field reads the same completion.
+  c.send(0, 2, 6, 88);
+  EXPECT_EQ(c.wait(other).payload, 88u);
+  for (const int node : {-5, 0, 2, 3, 99}) {
+    EXPECT_TRUE(c.test(RecvHandle{node, other.id})) << node;
+    EXPECT_EQ(c.result(RecvHandle{node, other.id})->payload, 88u) << node;
+  }
+  EXPECT_FALSE(c.test(RecvHandle{1, h.id}));
+  EXPECT_FALSE(c.cancel(RecvHandle{3, other.id}));  // Completed.
+
+  // An out-of-range forged node still cancels the recorded receive.
+  const RecvHandle late = c.irecv(3, 1, 9);
+  EXPECT_EQ(c.node_activity(3), NodeActivity::kStarved);
+  EXPECT_TRUE(c.cancel(RecvHandle{99, late.id}));
+  EXPECT_EQ(c.node_activity(3), NodeActivity::kIdle);
+  EXPECT_EQ(c.snapshot().counters.at("runtime.cluster.receives_cancelled"), 2u);
 }
 
 }  // namespace
